@@ -11,7 +11,6 @@ import (
 	"fairassign/internal/pagestore"
 	"fairassign/internal/rtree"
 	"fairassign/internal/score"
-	"fairassign/internal/skyline"
 	"fairassign/internal/snapshot"
 	"fairassign/internal/vfs"
 	"fairassign/internal/wal"
@@ -124,7 +123,7 @@ func (w *Workspace) initDurable() error {
 	if _, err := snapshot.WriteFile(fs, cfg.WALDir, d); err != nil {
 		return err
 	}
-	w.dur.log, err = wal.Create(fs, cfg.WALDir, 1, w.epoch)
+	w.dur.log, err = wal.Create(fs, cfg.WALDir, 1, w.seq)
 	return err
 }
 
@@ -155,7 +154,7 @@ func (w *Workspace) SaveSnapshot() error {
 		return err
 	}
 	if w.dur.log != nil {
-		next, err := wal.Create(w.dur.fs, w.dur.dir, w.dur.log.Seq()+1, w.epoch)
+		next, err := wal.Create(w.dur.fs, w.dur.dir, w.dur.log.Seq()+1, w.seq)
 		if err != nil {
 			return err
 		}
@@ -204,22 +203,23 @@ func (w *Workspace) pruneDurableFiles() {
 	}
 }
 
-// captureDataLocked freezes the workspace into a snapshot.Data: sorted
-// entity tables, the matching, capacity tables, the frontier ID set,
-// and page images of both stores (taken from the in-memory version
-// chains — no physical reads). The function-side pool is flushed first
-// so its chains hold the final bytes; that flush is the only I/O the
+// captureDataLocked freezes a one-shard workspace into a snapshot.Data:
+// sorted entity tables, the matching, capacity tables, the frontier ID
+// set, and page images of both stores (taken from the in-memory version
+// chains — no physical reads). The pools are flushed first so the
+// chains hold the final bytes; those flushes are the only I/O the
 // capture performs. Caller holds w.mu.
 func (w *Workspace) captureDataLocked() (*snapshot.Data, error) {
-	if err := w.st.pool.Flush(); err != nil {
+	sh := w.shards[0]
+	if err := sh.pool.Flush(); err != nil {
 		return nil, err
 	}
 	if err := w.fpool.Flush(); err != nil {
 		return nil, err
 	}
 	d := &snapshot.Data{
-		Epoch: w.epoch,
-		Dims:  w.Dims(),
+		Epoch: w.seq,
+		Dims:  w.dims,
 		Counters: snapshot.Counters{
 			Mutations:  uint64(w.mutations),
 			Commits:    uint64(w.commits),
@@ -228,8 +228,8 @@ func (w *Workspace) captureDataLocked() (*snapshot.Data, error) {
 			Resolves:   uint64(w.resolves),
 		},
 	}
-	d.Objects = make([]snapshot.ObjectRec, 0, len(w.objs))
-	for _, o := range w.objs {
+	d.Objects = make([]snapshot.ObjectRec, 0, len(sh.objs))
+	for _, o := range sh.objs {
 		d.Objects = append(d.Objects, snapshot.ObjectRec{ID: o.ID, Capacity: int64(o.Capacity), Point: o.Point})
 	}
 	sort.Slice(d.Objects, func(i, j int) bool { return d.Objects[i].ID < d.Objects[j].ID })
@@ -244,17 +244,17 @@ func (w *Workspace) captureDataLocked() (*snapshot.Data, error) {
 	for i, p := range pairs {
 		d.Pairs[i] = snapshot.Pair{FuncID: p.FuncID, ObjID: p.ObjectID, Score: p.Score}
 	}
-	d.ObjCaps = capEntries(w.st.objCaps)
-	d.FuncCaps = capEntries(w.st.funcCaps)
-	for _, it := range w.avail.Skyline() {
+	d.ObjCaps = capEntries(sh.caps)
+	d.FuncCaps = capEntries(w.funcCaps)
+	for _, it := range sh.avail.Skyline() {
 		d.Avail = append(d.Avail, it.ID)
 	}
 	sort.Slice(d.Avail, func(i, j int) bool { return d.Avail[i] < d.Avail[j] })
 	var err error
-	if d.ObjStore, err = storeImage(w.vstore, w.st.tree.Meta()); err != nil {
+	if d.ObjStore, err = storeImage(sh.store, sh.tree.Meta()); err != nil {
 		return nil, err
 	}
-	if d.FuncStore, err = storeImage(w.fvstore, w.ftree.Meta()); err != nil {
+	if d.FuncStore, err = storeImage(w.fstore, w.ftree.Meta()); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -427,13 +427,13 @@ func OpenWorkspace(cfg Config) (*Workspace, error) {
 		if n := len(segs); n > 0 {
 			seq = segs[n-1].Seq + 1
 		}
-		w.dur.log, err = wal.Create(fs, cfg.WALDir, seq, w.epoch)
+		w.dur.log, err = wal.Create(fs, cfg.WALDir, seq, w.seq)
 		if err != nil {
 			w.Close()
 			return nil, err
 		}
 	}
-	info.FinalEpoch = w.epoch
+	info.FinalEpoch = w.seq
 	w.recovery = info
 	return w, nil
 }
@@ -467,11 +467,11 @@ func (w *Workspace) replayWAL(fs vfs.FS, dir string, info *RecoveryInfo) error {
 		}
 		for _, rec := range sd.Records {
 			switch {
-			case rec.Epoch <= w.epoch:
+			case rec.Epoch <= w.seq:
 				continue // already covered by the snapshot
-			case rec.Epoch != w.epoch+1:
+			case rec.Epoch != w.seq+1:
 				return fmt.Errorf("%w: record epoch %d after workspace epoch %d (segment %s)",
-					ErrWALDiverged, rec.Epoch, w.epoch, sg.Name)
+					ErrWALDiverged, rec.Epoch, w.seq, sg.Name)
 			}
 			recs, err := snapshot.DecodeBatch(rec.Payload)
 			if err != nil {
@@ -491,14 +491,14 @@ func (w *Workspace) replayWAL(fs vfs.FS, dir string, info *RecoveryInfo) error {
 	return nil
 }
 
-// restoreWorkspace rebuilds a serving workspace from one decoded
-// snapshot: both page stores are re-imaged (preserving page IDs and the
-// allocation watermark), the R-trees reattach via their persisted Meta,
-// the matching and capacity tables load directly, and the availability
-// frontier is recomputed from the capacity tables and cross-checked
-// against the persisted skyline ID set. O(file) — no solve, no bulk
-// load. Internal inconsistency returns ErrBadSnapshot so OpenWorkspace
-// can fall back a generation.
+// restoreWorkspace rebuilds a one-shard serving workspace from one
+// decoded snapshot: both page stores are re-imaged (preserving page IDs
+// and the allocation watermark), the R-trees reattach via their
+// persisted Meta, the matching and capacity tables load directly, and
+// the availability frontier is recomputed from the capacity tables and
+// cross-checked against the persisted skyline ID set. O(file) — no
+// solve, no bulk load. Internal inconsistency returns ErrBadSnapshot so
+// OpenWorkspace can fall back a generation.
 func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 	if d.Epoch < 1 {
 		return nil, fmt.Errorf("%w: epoch 0", ErrBadSnapshot)
@@ -518,50 +518,29 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 		return nil, fmt.Errorf("%w: object tree size %d != %d objects", ErrBadSnapshot, d.ObjStore.Size, len(p.Objects))
 	}
 
+	w := newWorkspace(cfg, d.Dims, p.Objects, len(p.Functions), ShardOptions{})
 	vstore, pool, tree, err := restoreStore(cfg, &d.ObjStore, d.Dims, d.Epoch, true, cfg.bufferFrac())
 	if err != nil {
 		return nil, err
 	}
-	st := &solveState{p: p, cfg: cfg, store: vstore, pool: pool, tree: tree}
-	st.objCaps = capsFromEntries(d.ObjCaps)
-	st.funcCaps = capsFromEntries(d.FuncCaps)
-
-	fvstore, fpool, ftree, err := restoreStore(cfg, &d.FuncStore, d.Dims, d.Epoch, false, -1)
-	if err != nil {
-		st.release()
+	sh := w.addCore(vstore, pool, tree, len(p.Objects))
+	if w.fstore, w.fpool, w.ftree, err = restoreStore(cfg, &d.FuncStore, d.Dims, d.Epoch, false, -1); err != nil {
+		w.Close()
 		return nil, err
-	}
-
-	w := &Workspace{
-		st:      st,
-		cfg:     cfg,
-		vstore:  vstore,
-		fstore:  fvstore,
-		fvstore: fvstore,
-		fpool:   fpool,
-		ftree:   ftree,
-		objs:    make(map[uint64]Object, len(p.Objects)),
-		funcs:   make(map[uint64]Function, len(p.Functions)),
-		eff:     make(map[uint64][]float64, len(p.Functions)),
-		nonlin:  score.NewFuncBlocks(p.Dims),
-		byObj:   make(map[uint64][]wsPair),
-		byFunc:  make(map[uint64][]wsPair),
 	}
 	fail := func(format string, args ...any) (*Workspace, error) {
 		w.Close()
 		return nil, fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
 	}
 	for _, o := range p.Objects {
-		w.objs[o.ID] = o
+		sh.objs[o.ID] = o
+		w.objShard[o.ID] = 0
 	}
 	linear := 0
 	for _, f := range p.Functions {
-		w.funcs[f.ID] = f
-		w.eff[f.ID] = f.Effective()
+		w.addFunction(f)
 		if f.Fam.IsLinear() {
 			linear++
-		} else {
-			w.nonlin.Add(f.ID, f.Fam, w.eff[f.ID])
 		}
 	}
 	if d.FuncStore.Size != linear {
@@ -571,22 +550,24 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 		if _, ok := w.funcs[pr.FuncID]; !ok {
 			return fail("pair references unknown function %d", pr.FuncID)
 		}
-		if _, ok := w.objs[pr.ObjID]; !ok {
+		if _, ok := sh.objs[pr.ObjID]; !ok {
 			return fail("pair references unknown object %d", pr.ObjID)
 		}
-		w.link(wsPair{fid: pr.FuncID, oid: pr.ObjID, score: pr.Score})
+		w.link(pair{fid: pr.FuncID, oid: pr.ObjID, score: pr.Score})
 	}
 	// Cross-validate the capacity tables against capacity − assignment:
 	// the tables must be derivable, so a bit-rotted (yet
 	// checksum-passing — e.g. truncated by a buggy tool) state cannot
 	// serve.
-	if err := checkCaps(st.objCaps, len(w.objs), func(id uint64) (int, int, bool) {
-		o, ok := w.objs[id]
-		return o.capacity(), len(w.byObj[id]), ok
+	sh.caps = capsFromEntries(d.ObjCaps)
+	w.funcCaps = capsFromEntries(d.FuncCaps)
+	if err := checkCaps(sh.caps, len(sh.objs), func(id uint64) (int, int, bool) {
+		o, ok := sh.objs[id]
+		return o.capacity(), len(sh.byObj[id]), ok
 	}); err != nil {
 		return fail("object capacity table: %v", err)
 	}
-	if err := checkCaps(st.funcCaps, len(w.funcs), func(id uint64) (int, int, bool) {
+	if err := checkCaps(w.funcCaps, len(w.funcs), func(id uint64) (int, int, bool) {
 		f, ok := w.funcs[id]
 		return f.capacity(), len(w.byFunc[id]), ok
 	}); err != nil {
@@ -597,18 +578,8 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 	// available objects is unique, so recomputing it from the restored
 	// capacity table and comparing ID sets doubles as an end-to-end
 	// consistency check of pairs, capacities, and points.
-	var availItems []rtree.Item
-	for id, o := range w.objs {
-		if st.objCaps.remaining[id] > 0 {
-			availItems = append(availItems, rtree.Item{ID: id, Point: o.Point})
-		}
-	}
-	w.avail = skyline.NewMaintainerFromItems(d.Dims, availItems, nil)
-	w.avail.SetLiveCheck(func(id uint64, pt geom.Point) bool {
-		o, ok := w.objs[id]
-		return ok && w.st.objCaps.remaining[id] > 0 && o.Point.Equal(pt)
-	})
-	sky := w.avail.Skyline()
+	w.initFrontiers()
+	sky := sh.avail.Skyline()
 	if len(sky) != len(d.Avail) {
 		return fail("frontier has %d entries, snapshot recorded %d", len(sky), len(d.Avail))
 	}
@@ -625,12 +596,10 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 	// Seal the restored state as epoch d.Epoch (restoreStore rebased the
 	// object store to d.Epoch−1), then overwrite the counters with the
 	// persisted lifetime values — the restore itself is not a commit.
+	w.seq = d.Epoch - 1
 	if err := w.commitLocked(); err != nil {
 		w.Close()
 		return nil, err
-	}
-	if w.epoch != d.Epoch {
-		return fail("restored epoch %d, want %d", w.epoch, d.Epoch)
 	}
 	w.mutations = int64(d.Counters.Mutations)
 	w.commits = int64(d.Counters.Commits)
@@ -671,16 +640,15 @@ func checkCaps(t *capTable, population int, lookup func(id uint64) (capacity, as
 func restoreStore(cfg Config, si *snapshot.StoreImage, dims int, epoch uint64, rebase bool, frac float64) (*pagestore.VersionedStore, *pagestore.BufferPool, *rtree.Tree, error) {
 	scfg := cfg
 	scfg.PageSize = si.PageSize
-	inner, err := scfg.newStore()
+	store, err := scfg.versioned().newStore()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if inner.PageSize() != si.PageSize {
-		inner.Close()
-		return nil, nil, nil, fmt.Errorf("assign: store factory page size %d, snapshot has %d", inner.PageSize(), si.PageSize)
+	vs := store.(*pagestore.VersionedStore)
+	if vs.PageSize() != si.PageSize {
+		vs.Close()
+		return nil, nil, nil, fmt.Errorf("assign: store factory page size %d, snapshot has %d", vs.PageSize(), si.PageSize)
 	}
-	vs := pagestore.NewVersioned(inner)
-	vs.SetSerializedAcquire(true)
 	if rebase {
 		vs.SetBaseEpoch(epoch - 1)
 	}

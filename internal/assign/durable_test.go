@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path"
+	"reflect"
 	"testing"
 
 	"fairassign/internal/geom"
@@ -103,15 +104,26 @@ func applyScript(t *testing.T, w *Workspace, batches [][]Mutation) int {
 	return applied
 }
 
+// logicalStats drops the physical counters a recovery legitimately
+// restarts: I/O (a freshly recovered buffer pool is cold, so physical
+// reads differ) and the per-shard page-store epochs (the restored store
+// publishes afresh).
+func logicalStats(s WorkspaceStats) WorkspaceStats {
+	s.IO = metrics.IOCounter{}
+	s.PerShard = append([]ShardStats(nil), s.PerShard...)
+	for i := range s.PerShard {
+		s.PerShard[i].Epoch = 0
+	}
+	return s
+}
+
 // checkTwin asserts two workspaces serve identical state: matching,
-// logical stats (IO excluded: a freshly recovered buffer pool is cold,
-// so physical reads legitimately differ), and availability frontier.
+// logical stats, and availability frontier.
 func checkTwin(t *testing.T, label string, got, want *Workspace) {
 	t.Helper()
 	samePairs(t, label, got.Pairs(), want.Pairs())
-	gs, ws := got.Stats(), want.Stats()
-	gs.IO, ws.IO = metrics.IOCounter{}, metrics.IOCounter{}
-	if gs != ws {
+	gs, ws := logicalStats(got.Stats()), logicalStats(want.Stats())
+	if !reflect.DeepEqual(gs, ws) {
 		t.Fatalf("%s: stats = %+v, want %+v", label, gs, ws)
 	}
 	gp, wp := got.ProblemSnapshot(), want.ProblemSnapshot()
@@ -220,7 +232,7 @@ func TestDurableSnapshotFallback(t *testing.T) {
 	if err := w.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	newest := w.epoch
+	newest := w.seq
 	more := mutationScript(rng, 2, 5)
 	applyScript(t, w, more)
 	w.Close()

@@ -3,6 +3,7 @@ package assign
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fairassign/internal/rtree"
 	"fairassign/internal/snapshot"
@@ -110,6 +111,33 @@ func (w *Workspace) Apply(muts []Mutation) error {
 	return w.applyLocked(muts)
 }
 
+// AddObject introduces a new object: it joins its shard's R-tree and
+// availability skyline, then pulls takers for its capacity via chain
+// repair.
+func (w *Workspace) AddObject(o Object) error {
+	return w.Apply([]Mutation{{Kind: MutAddObject, Object: o}})
+}
+
+// RemoveObject withdraws an object. Its assigned functions are freed
+// and re-chained; the availability skyline is invalidated through
+// Discard.
+func (w *Workspace) RemoveObject(id uint64) error {
+	return w.Apply([]Mutation{{Kind: MutRemoveObject, ID: id}})
+}
+
+// AddFunction introduces a new preference function and runs the paper's
+// chain update: the arrival proposes down its preference order,
+// displacing strictly worse assignments along a bounded chain.
+func (w *Workspace) AddFunction(f Function) error {
+	return w.Apply([]Mutation{{Kind: MutAddFunction, Function: f}})
+}
+
+// RemoveFunction withdraws a function; the object units it held become
+// vacancies that pull replacement functions along chains.
+func (w *Workspace) RemoveFunction(id uint64) error {
+	return w.Apply([]Mutation{{Kind: MutRemoveFunction, ID: id}})
+}
+
 func (w *Workspace) applyLocked(muts []Mutation) error {
 	if err := w.liveLocked(); err != nil {
 		return err
@@ -118,18 +146,15 @@ func (w *Workspace) applyLocked(muts []Mutation) error {
 		return nil
 	}
 	batch := len(muts) > 1
-	var bv *batchView
-	if batch {
-		bv = &batchView{w: w}
-	}
+	bv := &batchView{w: w}
 	for i := range muts {
-		if err := w.validateMutationLocked(&muts[i], bv); err != nil {
+		if err := validateMutation(w.dims, &muts[i], bv.objLive, bv.funcLive); err != nil {
 			if batch {
 				return fmt.Errorf("assign: batch mutation %d (%s): %w", i, muts[i].Kind, err)
 			}
 			return err
 		}
-		if bv != nil {
+		if batch {
 			bv.record(&muts[i])
 		}
 	}
@@ -151,11 +176,12 @@ func (w *Workspace) applyLocked(muts []Mutation) error {
 	// Write-ahead barrier: the batch is encoded, checksummed, appended,
 	// and (unless WALNoSync) fsynced before the epoch publishes, so a
 	// batch whose Apply returned nil survives power loss. The record
-	// carries the epoch commitLocked is about to publish; the WAL writer
-	// enforces contiguity. A durability failure poisons the workspace —
-	// the in-memory state is ahead of what can be made durable.
+	// carries the sequence number commitLocked is about to publish; the
+	// WAL writer enforces contiguity. A durability failure poisons the
+	// workspace — the in-memory state is ahead of what can be made
+	// durable.
 	if w.dur != nil && w.dur.log != nil {
-		if err := w.dur.log.Append(w.epoch+1, snapshot.EncodeBatch(mutationRecs(muts))); err != nil {
+		if err := w.dur.log.Append(w.seq+1, snapshot.EncodeBatch(mutationRecs(muts))); err != nil {
 			return w.corruptLocked(err)
 		}
 		if !w.dur.noSync {
@@ -199,7 +225,7 @@ func (b *batchView) objLive(id uint64) bool {
 	if b.objDel[id] {
 		return false
 	}
-	_, ok := b.w.objs[id]
+	_, ok := b.w.objShard[id]
 	return ok
 }
 
@@ -241,25 +267,63 @@ func (b *batchView) record(m *Mutation) {
 	}
 }
 
-// validateMutationLocked checks one mutation against the current state
-// (overlaid with the batch prefix when bv is non-nil) without touching
-// any workspace structure. Caller holds w.mu.
-func (w *Workspace) validateMutationLocked(m *Mutation, bv *batchView) error {
-	objLive := func(id uint64) bool {
-		if bv != nil {
-			return bv.objLive(id)
+// validateMutation checks one mutation against a population described
+// by the two liveness predicates, without touching any state.
+func validateMutation(dims int, m *Mutation, objLive, funcLive func(uint64) bool) error {
+	switch m.Kind {
+	case MutAddObject:
+		o := &m.Object
+		if len(o.Point) != dims {
+			return fmt.Errorf("assign: object %d has %d dims, want %d", o.ID, len(o.Point), dims)
 		}
-		_, ok := w.objs[id]
-		return ok
-	}
-	funcLive := func(id uint64) bool {
-		if bv != nil {
-			return bv.funcLive(id)
+		for _, v := range o.Point {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: object %d", ErrBadPoint, o.ID)
+			}
 		}
-		_, ok := w.funcs[id]
-		return ok
+		if o.Capacity < 0 {
+			return fmt.Errorf("%w: object %d has capacity %d", ErrBadCapacity, o.ID, o.Capacity)
+		}
+		if objLive(o.ID) {
+			return fmt.Errorf("%w: object %d", ErrDuplicateID, o.ID)
+		}
+	case MutRemoveObject:
+		if !objLive(m.ID) {
+			return fmt.Errorf("%w: object %d", ErrUnknownID, m.ID)
+		}
+	case MutAddFunction:
+		f := &m.Function
+		if len(f.Weights) != dims {
+			return fmt.Errorf("assign: function %d has %d weights, want %d", f.ID, len(f.Weights), dims)
+		}
+		for _, v := range f.Weights {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: function %d has non-finite weight", ErrBadWeight, f.ID)
+			}
+			if v < 0 {
+				return fmt.Errorf("%w: function %d has negative weight", ErrBadWeight, f.ID)
+			}
+		}
+		if math.IsNaN(f.Gamma) || math.IsInf(f.Gamma, 0) {
+			return fmt.Errorf("%w: function %d", ErrBadGamma, f.ID)
+		}
+		if f.Capacity < 0 {
+			return fmt.Errorf("%w: function %d has capacity %d", ErrBadCapacity, f.ID, f.Capacity)
+		}
+		if err := f.Fam.Validate(); err != nil {
+			return fmt.Errorf("assign: function %d: %w", f.ID, err)
+		}
+		if funcLive(f.ID) {
+			return fmt.Errorf("%w: function %d", ErrDuplicateID, f.ID)
+		}
+	case MutRemoveFunction:
+		if !funcLive(m.ID) {
+			return fmt.Errorf("%w: function %d", ErrUnknownID, m.ID)
+		}
+	default:
+		return fmt.Errorf("%w: %d", ErrBadMutation, m.Kind)
 	}
-	return ValidateMutation(w.Dims(), m, objLive, funcLive)
+	return nil
 }
 
 // mutateLocked performs the structural phase of one already-validated
@@ -281,12 +345,16 @@ func (w *Workspace) mutateLocked(m *Mutation) error {
 
 func (w *Workspace) addObjectLocked(o Object) error {
 	pt := o.Point.Clone()
-	w.objs[o.ID] = Object{ID: o.ID, Point: pt, Capacity: o.Capacity}
-	if err := w.st.tree.Insert(rtree.Item{ID: o.ID, Point: pt}); err != nil {
+	sidx := w.part.Route(pt, o.ID)
+	sh := w.shards[sidx]
+	sh.objs[o.ID] = Object{ID: o.ID, Point: pt, Capacity: o.Capacity}
+	sh.caps.add(o.ID, o.capacity())
+	w.objShard[o.ID] = sidx
+	sh.pageDirty, sh.stateDirty = true, true
+	if err := sh.tree.Insert(rtree.Item{ID: o.ID, Point: pt}); err != nil {
 		return err
 	}
-	w.st.objCaps.add(o.ID, o.capacity())
-	if err := w.avail.Insert(rtree.Item{ID: o.ID, Point: pt}); err != nil {
+	if err := sh.avail.Insert(rtree.Item{ID: o.ID, Point: pt}); err != nil {
 		return err
 	}
 	w.pushObj(o.ID)
@@ -294,52 +362,47 @@ func (w *Workspace) addObjectLocked(o Object) error {
 }
 
 func (w *Workspace) removeObjectLocked(id uint64) error {
-	o := w.objs[id]
+	sh := w.shards[w.objShard[id]]
+	o := sh.objs[id]
 	// Invalidate the availability frontier first: an exhausted object
 	// already left it (Discarded on exhaustion), so a second Discard
 	// would only grow the tombstone set.
-	if w.st.objCaps.remaining[id] > 0 {
-		if err := w.avail.Discard(id); err != nil {
+	if sh.caps.remaining[id] > 0 {
+		if err := sh.avail.Discard(id); err != nil {
 			return err
 		}
 	}
-	for _, p := range append([]wsPair(nil), w.byObj[id]...) {
+	for _, p := range append([]pair(nil), sh.byObj[id]...) {
 		w.unlink(p)
-		w.st.funcCaps.restore(p.fid)
+		w.funcCaps.restore(p.fid)
 		w.pushFunc(p.fid)
 	}
-	delete(w.byObj, id)
-	if err := w.st.tree.Delete(rtree.Item{ID: id, Point: o.Point}); err != nil {
+	delete(sh.byObj, id)
+	sh.pageDirty, sh.stateDirty = true, true
+	if err := sh.tree.Delete(rtree.Item{ID: id, Point: o.Point}); err != nil {
 		return err
 	}
-	w.st.objCaps.drop(id)
-	delete(w.objs, id)
+	sh.caps.drop(id)
+	delete(sh.objs, id)
+	delete(w.objShard, id)
 	return nil
 }
 
 func (w *Workspace) addFunctionLocked(f Function) error {
-	weights := make([]float64, len(f.Weights))
-	copy(weights, f.Weights)
-	f.Weights = weights
-	ew := f.Effective()
-	w.funcs[f.ID] = f
-	w.eff[f.ID] = ew
+	ew := w.addFunction(f)
 	if f.Fam.IsLinear() {
 		if err := w.ftree.Insert(rtree.Item{ID: f.ID, Point: ew}); err != nil {
 			return err
 		}
-	} else {
-		w.nonlin.Add(f.ID, f.Fam, ew)
 	}
-	w.st.funcCaps.add(f.ID, f.capacity())
 	w.pushFunc(f.ID)
 	return nil
 }
 
 func (w *Workspace) removeFunctionLocked(id uint64) error {
-	for _, p := range append([]wsPair(nil), w.byFunc[id]...) {
+	for _, p := range append([]pair(nil), w.byFunc[id]...) {
 		w.unlink(p)
-		w.restoreObjectUnit(p.oid)
+		w.shards[w.objShard[p.oid]].restoreUnit(p.oid)
 		w.pushObj(p.oid)
 	}
 	delete(w.byFunc, id)
@@ -348,8 +411,9 @@ func (w *Workspace) removeFunctionLocked(id uint64) error {
 			return err
 		}
 	}
-	w.st.funcCaps.drop(id)
+	w.funcCaps.drop(id)
 	delete(w.funcs, id)
 	delete(w.eff, id)
+	w.funcDirty = true
 	return nil
 }

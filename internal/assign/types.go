@@ -25,6 +25,15 @@
 //
 // Capacities (Section 6.1) and priorities γ (Section 6.2) are supported
 // by every algorithm.
+//
+// Workspace is the dynamic counterpart: one SB solve, then chain repair
+// of the matching as functions and objects arrive and depart
+// (repair.go), snapshot-isolated read views (view.go), group-committed
+// mutation batches (mutation.go), and a WAL plus epoch snapshots for
+// crash recovery (durable.go). It is the one repair engine for any
+// shard count: its object space is split across N >= 1 shards by
+// internal/shard's partitioner, and a one-shard workspace is simply
+// N = 1.
 package assign
 
 import (

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fairassign/internal/geom"
@@ -109,7 +110,7 @@ func TestViewSnapshotIsolation(t *testing.T) {
 
 	// The pinned view is bit-stable across the batch.
 	identicalPairs(t, "view pairs after batch", v1.Pairs(), beforePairs)
-	if v1.Stats() != beforeStats {
+	if !reflect.DeepEqual(v1.Stats(), beforeStats) {
 		t.Fatalf("view stats drifted: %+v vs %+v", v1.Stats(), beforeStats)
 	}
 	afterItems, afterScores, err := v1.TopK(weights, 12)
@@ -270,7 +271,7 @@ func TestWorkspaceTypedErrors(t *testing.T) {
 func TestSnapshotEpochReclamationBaseline(t *testing.T) {
 	ws := viewTestWorkspace(t, 200, 12, 3, 99)
 	defer ws.Close()
-	pool := ws.st.pool
+	pool := ws.shards[0].pool
 	poolCap := pool.Capacity()
 
 	var views []*View
@@ -288,7 +289,7 @@ func TestSnapshotEpochReclamationBaseline(t *testing.T) {
 		mutateBatch(t, ws, 300+i)
 	}
 
-	grown := ws.vstore.DebugStats()
+	grown := ws.shards[0].store.DebugStats()
 	if grown.TotalVersions <= grown.LivePages {
 		t.Fatalf("expected retained history while views are open: %+v", grown)
 	}
@@ -298,7 +299,7 @@ func TestSnapshotEpochReclamationBaseline(t *testing.T) {
 	// One more mutation publishes past the last pinned epoch, after
 	// which nothing may remain but the live pages.
 	mutateBatch(t, ws, 400)
-	st := ws.vstore.DebugStats()
+	st := ws.shards[0].store.DebugStats()
 	if st.LiveSnapshots != 0 || st.RetiredQueue != 0 || st.TotalVersions != st.LivePages {
 		t.Fatalf("epoch reclamation leaked: %+v", st)
 	}

@@ -3,7 +3,7 @@ package assign
 import (
 	"errors"
 	"fmt"
-	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,8 +13,8 @@ import (
 	"fairassign/internal/pagestore"
 	"fairassign/internal/rtree"
 	"fairassign/internal/score"
+	"fairassign/internal/shard"
 	"fairassign/internal/skyline"
-	"fairassign/internal/topk"
 )
 
 // Typed misuse errors. All Workspace methods return wrapped forms of
@@ -31,7 +31,25 @@ var (
 	// ErrUnknownID is returned by RemoveObject/RemoveFunction when no
 	// live entity has the ID.
 	ErrUnknownID = errors.New("assign: unknown id")
+	// ErrDurabilityUnsupported is returned when a workspace of more than
+	// one shard is asked for a WAL or snapshot directory: the log and
+	// snapshot format hold one object index.
+	ErrDurabilityUnsupported = errors.New("assign: durable sharded workspaces are not supported")
 )
+
+// ShardOptions lays out a workspace's object space.
+type ShardOptions struct {
+	// Shards is the number of object shards (<= 0 means 1).
+	Shards int
+	// Partition selects the object->shard mapping (default
+	// shard.PartitionAuto: spatial with hash fallback).
+	Partition shard.PartitionKind
+	// SearchWorkers bounds the per-shard fan-out of repair's frontier
+	// scans and displacement searches, and of commit-time flushes:
+	// <= 0 uses min(Shards, GOMAXPROCS); 1 runs them sequentially. The
+	// matching is identical at every setting.
+	SearchWorkers int
+}
 
 // Workspace is the long-lived incremental form of the solver: it builds
 // the shared solve state once, computes the initial stable matching with
@@ -64,55 +82,72 @@ var (
 // TA scan order instead, so on tied instances the two can return
 // different — equally stable — resolutions of the tie.
 //
-// The availability frontier — the skyline of objects with remaining
-// capacity — is maintained incrementally through the Section 5.2
-// machinery (Maintainer.Insert for arrivals and revived capacity,
-// Maintainer.Discard for exhaustion and departures). Function proposals
-// scan that skyline for the best free object and use its score as a
-// ceiling for the displacement search, which then expands only the
-// index region that could beat taking a free object outright.
+// The object space is split across N >= 1 shards (shard.Partitioner),
+// each with its own versioned page store, R-tree, availability frontier
+// and epoch stream; the function side is global, because function
+// capacity is shared state every chain can consume. The availability
+// frontier — per shard, the skyline of objects with remaining capacity —
+// is maintained incrementally through the Section 5.2 machinery
+// (Maintainer.Insert for arrivals and revived capacity,
+// Maintainer.Discard for exhaustion and departures). A function
+// proposal runs a bounded cross-shard displacement protocol (repair.go):
+// the best frontier object over all shards is the ceiling of a
+// displacement search each shard runs over its own tree, and the
+// per-shard winners combine by (score desc, ID asc) — the order BRS
+// enumerates inside one tree — so the matching is byte-identical at
+// every mutation boundary for any shard count (internal/conformance
+// asserts counts {1,2,4,7}). (The one theoretical exception: a
+// non-strictly-monotone scorer can tie a dominated point with its
+// dominator; if a shard boundary separates them, the per-shard frontiers
+// may surface the dominated lower-ID point a single skyline pruned. Both
+// resolutions are stable.)
+//
+// What shards buy on the serving path: flushes, publishes and snapshot
+// captures are per shard and dirty-shard-only, so a mutation touching
+// one shard republishes and re-captures 1/N of the object state; on
+// multi-core hosts the per-shard probes of each repair step fan out
+// across ShardOptions.SearchWorkers. Durability (durable.go) is
+// supported at one shard.
 type Workspace struct {
-	// mu is the single-writer lock: it serializes mutations, epoch
-	// publication, and snapshot acquisition. Snapshot readers never take
-	// it — a View answers from immutable published state — so reads
-	// proceed concurrently with (and unblocked by) repairs.
+	// mu is the single-writer lock: it serializes mutations, commits,
+	// and snapshot capture. Snapshot readers never take it — a View
+	// answers from immutable published state — so reads proceed
+	// concurrently with (and unblocked by) repairs.
 	mu sync.Mutex
 
-	st  *solveState
-	cfg Config
+	cfg  Config
+	dims int
+	part *shard.Partitioner
 
-	// vstore is the versioned wrapper around the object-index store
-	// (st.store). Each mutation ends by flushing the buffer pool and
-	// publishing a new store epoch; snapshots pin published epochs and
-	// read page versions copy-on-write-retained for them.
-	vstore *pagestore.VersionedStore
-	epoch  uint64 // latest published epoch
+	shards   []*core
+	objShard map[uint64]int // object ID -> owning shard
 
-	// pub caches the captured state of the latest published epoch. It is
-	// built lazily by the first Snapshot after a mutation and dropped
-	// (released) by the next mutation, so pure churn pays nothing for it.
-	// pubA mirrors it for the lock-free Snapshot fast path: readers
-	// retain straight off the atomic pointer and never queue on mu
-	// unless the cache was just invalidated (or while a pinned epoch is
-	// being recaptured).
+	// Global function side: the weight R-tree over effective weight
+	// vectors (linear families; reverse searches run against it), the
+	// columnar blocks (non-linear families, scanned with the batched
+	// dual kernel), capacities, and the function half of the matching.
+	// fstore is versioned like the shard stores: views never traverse
+	// it, so every write recycles in place, and durable snapshot capture
+	// images it from the in-memory version chains.
+	fstore    *pagestore.VersionedStore
+	fpool     *pagestore.BufferPool
+	ftree     *rtree.Tree
+	funcs     map[uint64]Function
+	eff       map[uint64][]float64
+	nonlin    *score.FuncBlocks
+	funcCaps  *capTable
+	byFunc    map[uint64][]pair
+	funcDirty bool
+	funcsSnap []Function // immutable capture, rebuilt when funcDirty
+
+	queue   []repairItem // free units awaiting chain repair
+	workers int
+	// Per-shard candidate scratch for bestEntry (guarded by mu).
+	frontier, cands []shardCand
+
+	seq  uint64 // global commit sequence number: the epoch views pin
 	pub  *pubState
 	pubA atomic.Pointer[pubState]
-
-	// avail is the availability frontier: a materialized skyline
-	// maintainer over the objects with remaining capacity. It holds no
-	// R-tree references (the workspace physically mutates its trees), so
-	// arbitrary Insert/Discard traffic stays correct.
-	avail *skyline.Maintainer
-
-	// Function R-tree over effective weight vectors (as in Chain),
-	// dynamically maintained; reverse searches (best function for an
-	// object) run against it. fstore is fvstore: the function side is
-	// versioned too, so snapshot capture can image both stores from the
-	// in-memory version chains without physical reads.
-	fstore  pagestore.Store
-	fvstore *pagestore.VersionedStore
-	fpool   *pagestore.BufferPool
-	ftree   *rtree.Tree
 
 	// dur is the durability state (nil without a WALDir): the log every
 	// Apply batch is fsynced to before its epoch publishes, plus the
@@ -120,24 +155,6 @@ type Workspace struct {
 	// workspace was reconstructed.
 	dur      *durableState
 	recovery *RecoveryInfo
-
-	objs  map[uint64]Object
-	funcs map[uint64]Function
-	eff   map[uint64][]float64 // function ID -> effective weights (ftree points)
-	// nonlin holds the live non-linear functions in per-family columnar
-	// blocks. Linear functions live in the ftree (reverse search via dot
-	// symmetry); non-linear scores are not bilinear, so bestTaker scans
-	// these blocks with the batched dual kernel instead. Purely linear
-	// populations — the paper's workload — keep this empty and pay
-	// nothing.
-	nonlin *score.FuncBlocks
-
-	// The matching, indexed from both sides; one wsPair per assigned
-	// unit, present in exactly one slice of each map.
-	byObj  map[uint64][]wsPair
-	byFunc map[uint64][]wsPair
-
-	queue []repairItem // free units awaiting chain repair
 
 	closed    bool        // guarded by mu
 	closedA   atomic.Bool // mirrors closed for the lock-free Snapshot fast path
@@ -149,8 +166,9 @@ type Workspace struct {
 	resolves  int64 // full solves (the initial build)
 }
 
-// wsPair is one assigned unit of the matching.
-type wsPair struct {
+// pair is one assigned unit of the matching, present in exactly one
+// slice of the owning shard's byObj and of the workspace's byFunc.
+type pair struct {
 	fid   uint64
 	oid   uint64
 	score float64
@@ -163,42 +181,108 @@ type repairItem struct {
 	id     uint64
 }
 
-// WorkspaceStats is a point-in-time summary of a workspace.
+// core is one shard: a self-contained slice of the object space with
+// its own versioned page store, R-tree, availability frontier, and
+// epoch stream.
+type core struct {
+	store *pagestore.VersionedStore
+	pool  *pagestore.BufferPool
+	tree  *rtree.Tree
+
+	// avail is this shard's availability frontier: a materialized
+	// skyline maintainer over the shard's objects with remaining
+	// capacity. It holds no R-tree references (the trees are mutated
+	// physically), so arbitrary Insert/Discard traffic stays correct.
+	avail *skyline.Maintainer
+
+	objs  map[uint64]Object
+	caps  *capTable
+	byObj map[uint64][]pair
+	units int // assigned units held by the shard's objects
+
+	epoch uint64 // latest published page-store epoch
+
+	// pageDirty marks tree pages mutated since the last publish (object
+	// arrivals/departures); stateDirty marks any capture-visible change
+	// (tree, objects, or frontier) since the last commit. Repair moves
+	// that only shuffle assignments set neither — cross-shard churn
+	// republishes nothing on untouched shards.
+	pageDirty  bool
+	stateDirty bool
+
+	// pub caches the capture of the latest published epoch. A commit
+	// drops it when the shard's state changed, so a shard untouched
+	// since its last capture joins a snapshot for a refcount increment
+	// instead of an O(objects) copy, and a changed one pins no stale
+	// history.
+	pub *shardPub
+}
+
+// ShardStats is one shard's slice of WorkspaceStats.
+type ShardStats struct {
+	Objects       int
+	AssignedUnits int
+	Frontier      int
+	Epoch         uint64 // the shard's own page-store epoch
+}
+
+// WorkspaceStats is a point-in-time summary of a workspace. Objects,
+// Functions, and AssignedUnits are partition-invariant; SkylineSize and
+// the work counters depend on the partition — per-shard skylines union
+// to more points than one global skyline, and every proposal issues one
+// probe per shard.
 type WorkspaceStats struct {
+	Shards        int
 	Objects       int   // live objects
 	Functions     int   // live functions
 	AssignedUnits int   // pairs in the current matching
-	SkylineSize   int   // availability frontier (objects with spare capacity)
+	SkylineSize   int   // availability frontier, summed over shards
 	Mutations     int64 // mutations applied since construction
 	Commits       int64 // epochs published (Apply groups many mutations into one)
+	Seq           uint64
 	ChainSteps    int64 // reassignments performed by repair chains
 	Searches      int64 // top-1 probes issued by repair
 	Resolves      int64 // from-scratch solves (1: the initial build)
 	IO            metrics.IOCounter
+	PerShard      []ShardStats
 }
 
-// NewWorkspace builds the shared state, solves the initial instance with
-// SB, and returns a workspace ready for mutations. The object-index
-// store is built through a versioned wrapper around the configured
-// store factory, so snapshots can pin page epochs; the function-side
-// store stays unversioned (views never traverse it).
-func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
-	scfg := cfg
-	innerFactory := cfg.StoreFactory
-	scfg.StoreFactory = func(pageSize int) (pagestore.Store, error) {
-		var inner pagestore.Store
-		if innerFactory != nil {
-			var err error
-			inner, err = innerFactory(pageSize)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			inner = pagestore.NewMemStore(pageSize)
+// versioned returns the config with every store it builds wrapped in a
+// VersionedStore. The writer lock serializes Acquire with mutations, so
+// the stores may recycle page versions in place whenever no live view
+// observes them — churn without open views then retains no history.
+func (c Config) versioned() Config {
+	vc := c
+	vc.StoreFactory = func(int) (pagestore.Store, error) {
+		inner, err := c.newStore()
+		if err != nil {
+			return nil, err
 		}
-		return pagestore.NewVersioned(inner), nil
+		vs := pagestore.NewVersioned(inner)
+		vs.SetSerializedAcquire(true)
+		return vs, nil
 	}
-	st, err := newSolveState(p, scfg)
+	return vc
+}
+
+// NewWorkspace builds a one-shard workspace.
+func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
+	return NewShardedWorkspace(p, cfg, ShardOptions{})
+}
+
+// NewShardedWorkspace validates the problem, computes the initial stable
+// matching with one SB solve, partitions the object space, and indexes
+// each shard. At one shard the solve's own object index becomes the
+// shard's; at more, each shard bulk-loads its slice. Durability
+// (cfg.WALDir / cfg.Durable) is set up at one shard and rejected with
+// ErrDurabilityUnsupported at more.
+func NewShardedWorkspace(p *Problem, cfg Config, opt ShardOptions) (*Workspace, error) {
+	n := max(opt.Shards, 1)
+	if n > 1 && (cfg.Durable || cfg.WALDir != "") {
+		return nil, ErrDurabilityUnsupported
+	}
+	vcfg := cfg.versioned()
+	st, err := newSolveState(p, vcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -207,82 +291,42 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 		st.release()
 		return nil, err
 	}
-
-	finner, err := cfg.newStore()
-	if err != nil {
-		st.release()
-		return nil, err
+	if n > 1 {
+		st.release() // each shard bulk-loads its own slice below
 	}
-	// The function store gets the same versioned wrapper as the object
-	// store. Views never traverse it, so no epochs are ever pinned and
-	// every write recycles in place (one shadow memcpy); what the
-	// wrapper buys is CurrentPages — durable snapshot capture images the
-	// function index from the in-memory chains instead of issuing
-	// counted physical reads.
-	fvstore := pagestore.NewVersioned(finner)
-	fvstore.SetSerializedAcquire(true)
-	fpool := cfg.newBuildPool(fvstore)
-	vstore := st.store.(*pagestore.VersionedStore)
-	// w.mu serializes Snapshot (→ Acquire) with mutations, so the store
-	// may recycle page versions in place whenever no live view observes
-	// them — churn without open views then retains no history.
-	vstore.SetSerializedAcquire(true)
-	w := &Workspace{
-		st:       st,
-		cfg:      cfg,
-		vstore:   vstore,
-		fstore:   fvstore,
-		fvstore:  fvstore,
-		fpool:    fpool,
-		objs:     make(map[uint64]Object, len(p.Objects)),
-		funcs:    make(map[uint64]Function, len(p.Functions)),
-		eff:      make(map[uint64][]float64, len(p.Functions)),
-		nonlin:   score.NewFuncBlocks(p.Dims),
-		byObj:    make(map[uint64][]wsPair),
-		byFunc:   make(map[uint64][]wsPair),
-		resolves: 1,
-	}
+	w := newWorkspace(cfg, p.Dims, p.Objects, len(p.Functions), opt)
+	w.resolves = 1
+	grouped := make([][]Object, n)
 	for _, o := range p.Objects {
-		w.objs[o.ID] = Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity}
+		s := w.part.Route(o.Point, o.ID)
+		grouped[s] = append(grouped[s], Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
+		w.objShard[o.ID] = s
 	}
-	fitems := make([]rtree.Item, 0, len(p.Functions))
-	for _, f := range p.Functions {
-		ew := f.Effective()
-		w.funcs[f.ID] = f
-		w.eff[f.ID] = ew
-		if f.Fam.IsLinear() {
-			fitems = append(fitems, rtree.Item{ID: f.ID, Point: ew})
-		} else {
-			w.nonlin.Add(f.ID, f.Fam, ew)
+	for _, objs := range grouped {
+		store, pool, tree := st.store, st.pool, st.tree // one shard: the solve's index
+		if n > 1 {
+			if store, pool, tree, err = buildObjectIndex(vcfg, p.Dims, objs); err != nil {
+				w.Close()
+				return nil, err
+			}
+		}
+		sh := w.addCore(store.(*pagestore.VersionedStore), pool, tree, len(objs))
+		for _, o := range objs {
+			sh.objs[o.ID] = o
+			sh.caps.add(o.ID, o.capacity())
 		}
 	}
-	w.ftree, err = rtree.BulkLoadWorkers(fpool, p.Dims, fitems, cfg.treeFill(), cfg.buildWorkers())
-	if err != nil {
+
+	if err := w.buildFunctions(vcfg, p.Functions); err != nil {
 		w.Close()
 		return nil, err
 	}
 	for _, pr := range res.Pairs {
-		w.link(wsPair{fid: pr.FuncID, oid: pr.ObjectID, score: pr.Score})
+		w.link(pair{fid: pr.FuncID, oid: pr.ObjectID, score: pr.Score})
+		w.shards[w.objShard[pr.ObjectID]].caps.consume(pr.ObjectID)
+		w.funcCaps.consume(pr.FuncID)
 	}
-	// Materialize the availability frontier from the post-solve capacity
-	// table. The solve's own maintainer ends in the same logical state
-	// but parks pruned subtrees by page reference, which would go stale
-	// under the physical tree mutations ahead.
-	var availItems []rtree.Item
-	for id, o := range w.objs {
-		if w.st.objCaps.remaining[id] > 0 {
-			availItems = append(availItems, rtree.Item{ID: id, Point: o.Point})
-		}
-	}
-	w.avail = skyline.NewMaintainerFromItems(p.Dims, availItems, nil)
-	// Parked entries can go stale (their object departed or exhausted —
-	// and its ID may even be reused for a different point); the oracle
-	// drops them the moment they resurface, so no tombstones accumulate.
-	w.avail.SetLiveCheck(func(id uint64, pt geom.Point) bool {
-		o, ok := w.objs[id]
-		return ok && w.st.objCaps.remaining[id] > 0 && o.Point.Equal(pt)
-	})
-	w.st.maint = nil // drop the tree-backed maintainer: it must not outlive tree mutations
+	w.initFrontiers()
 	// Publish the initial epoch so snapshots taken before any mutation
 	// have a sealed page state to pin.
 	if err := w.commitLocked(); err != nil {
@@ -298,18 +342,211 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 	return w, nil
 }
 
-// commitLocked seals the current epoch: the workspace's cached
-// published state is dropped (open views keep theirs alive), dirty
-// pages are flushed so the version layer holds the epoch's final bytes,
-// and the store publishes — after which every page the epoch retired
-// and no snapshot still pins is reclaimed. Caller holds w.mu (or is
-// constructing the workspace).
-func (w *Workspace) commitLocked() error {
-	w.dropPubLocked()
-	if err := w.st.pool.Flush(); err != nil {
+// newWorkspace allocates an empty workspace over the given initial
+// objects — they fix the partition; constructors fill the shards and
+// the function side.
+func newWorkspace(cfg Config, dims int, objs []Object, functions int, opt ShardOptions) *Workspace {
+	n := max(opt.Shards, 1)
+	workers := opt.SearchWorkers
+	if workers <= 0 {
+		workers = min(n, runtime.GOMAXPROCS(0))
+	}
+	var keys []shard.Key
+	if n > 1 {
+		keys = make([]shard.Key, len(objs))
+		for i, o := range objs {
+			keys[i] = shard.Key{Point: o.Point, ID: o.ID}
+		}
+	}
+	return &Workspace{
+		cfg:       cfg,
+		dims:      dims,
+		part:      shard.NewPartitioner(dims, n, keys, opt.Partition),
+		objShard:  make(map[uint64]int, len(objs)),
+		funcs:     make(map[uint64]Function, functions),
+		eff:       make(map[uint64][]float64, functions),
+		nonlin:    score.NewFuncBlocks(dims),
+		funcCaps:  &capTable{remaining: make(map[uint64]int, functions)},
+		byFunc:    make(map[uint64][]pair),
+		funcDirty: true,
+		workers:   workers,
+		frontier:  make([]shardCand, n),
+		cands:     make([]shardCand, n),
+	}
+}
+
+// addCore appends a shard over an already-built index.
+func (w *Workspace) addCore(store *pagestore.VersionedStore, pool *pagestore.BufferPool, tree *rtree.Tree, objects int) *core {
+	sh := &core{
+		store: store,
+		pool:  pool,
+		tree:  tree,
+		objs:  make(map[uint64]Object, objects),
+		caps:  &capTable{remaining: make(map[uint64]int, objects)},
+		byObj: make(map[uint64][]pair),
+	}
+	w.shards = append(w.shards, sh)
+	return sh
+}
+
+// buildFunctions registers the initial functions and bulk-loads the
+// weight tree over the linear ones.
+func (w *Workspace) buildFunctions(vcfg Config, funcs []Function) error {
+	store, err := vcfg.newStore()
+	if err != nil {
 		return err
 	}
-	w.epoch = w.vstore.Publish()
+	w.fstore = store.(*pagestore.VersionedStore)
+	w.fpool = vcfg.newBuildPool(w.fstore)
+	fitems := make([]rtree.Item, 0, len(funcs))
+	for _, f := range funcs {
+		ew := w.addFunction(f)
+		if f.Fam.IsLinear() {
+			fitems = append(fitems, rtree.Item{ID: f.ID, Point: ew})
+		}
+	}
+	w.ftree, err = rtree.BulkLoadWorkers(w.fpool, w.dims, fitems, vcfg.treeFill(), vcfg.buildWorkers())
+	return err
+}
+
+// addFunction registers a function's tables (weights copied) and, for a
+// non-linear family, its columnar block entry; it returns the effective
+// weights. The caller indexes linear functions in the weight tree.
+func (w *Workspace) addFunction(f Function) []float64 {
+	weights := make([]float64, len(f.Weights))
+	copy(weights, f.Weights)
+	f.Weights = weights
+	ew := f.Effective()
+	w.funcs[f.ID] = f
+	w.eff[f.ID] = ew
+	if !f.Fam.IsLinear() {
+		w.nonlin.Add(f.ID, f.Fam, ew)
+	}
+	w.funcCaps.add(f.ID, f.capacity())
+	w.funcDirty = true
+	return ew
+}
+
+// initFrontiers materializes each shard's availability frontier from
+// its capacity table and forces the next commit to publish it. The
+// solve's own maintainer ends in the same logical state but parks pruned
+// subtrees by page reference, which would go stale under the physical
+// tree mutations ahead.
+func (w *Workspace) initFrontiers() {
+	for _, sh := range w.shards {
+		sh := sh
+		var availItems []rtree.Item
+		for id, o := range sh.objs {
+			if sh.caps.remaining[id] > 0 {
+				availItems = append(availItems, rtree.Item{ID: id, Point: o.Point})
+			}
+		}
+		sh.avail = skyline.NewMaintainerFromItems(w.dims, availItems, nil)
+		// Parked entries can go stale (their object departed or
+		// exhausted — and its ID may even be reused for a different
+		// point); the oracle drops them the moment they resurface, so no
+		// tombstones accumulate.
+		sh.avail.SetLiveCheck(func(id uint64, pt geom.Point) bool {
+			o, ok := sh.objs[id]
+			return ok && sh.caps.remaining[id] > 0 && o.Point.Equal(pt)
+		})
+		sh.pageDirty, sh.stateDirty = true, true
+	}
+}
+
+// Dims returns the workspace dimensionality.
+func (w *Workspace) Dims() int { return w.dims }
+
+// ShardCount returns the number of shards.
+func (w *Workspace) ShardCount() int { return len(w.shards) }
+
+// Partition returns the resolved partition strategy.
+func (w *Workspace) Partition() shard.PartitionKind { return w.part.Kind() }
+
+// ShardOfObject returns the shard owning a live object.
+func (w *Workspace) ShardOfObject(id uint64) (int, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	s, ok := w.objShard[id]
+	return s, ok
+}
+
+// RouteObject returns the shard a (possibly not yet live) object with
+// the given point and ID would land on — the routing key producers use
+// to pick a per-shard queue.
+func (w *Workspace) RouteObject(pt geom.Point, id uint64) int {
+	return w.part.Route(pt, id)
+}
+
+// Close releases every page store. The workspace must not be used
+// afterwards.
+func (w *Workspace) Close() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return
+	}
+	w.closed = true
+	w.closedA.Store(true)
+	w.dropPubLocked()
+	for _, sh := range w.shards {
+		if sh.pub != nil {
+			sh.pub.release()
+			sh.pub = nil
+		}
+		sh.store.Close()
+	}
+	if w.fstore != nil {
+		w.fstore.Close()
+	}
+	if w.dur != nil && w.dur.log != nil {
+		w.dur.log.Close()
+	}
+}
+
+// liveLocked guards against use after Close and after a corrupting
+// mid-mutation failure. Caller holds w.mu.
+func (w *Workspace) liveLocked() error {
+	if w.closed {
+		return ErrClosed
+	}
+	if w.corrupt != nil {
+		return fmt.Errorf("%w: %w", ErrCorrupt, w.corrupt)
+	}
+	return nil
+}
+
+// commitLocked seals the round: every page-dirty shard flushes its pool
+// and publishes a new store epoch (fanned out across workers), the
+// global sequence number advances, and the cached published states are
+// dropped (open views keep theirs alive) — after which every page
+// version the round retired and no view still pins is reclaimed. Clean
+// shards publish nothing, and their cached captures stay valid. Caller
+// holds w.mu (or is constructing the workspace).
+func (w *Workspace) commitLocked() error {
+	w.dropPubLocked()
+	err := w.runShards(func(_ int, sh *core) error {
+		if sh.stateDirty {
+			if sh.pub != nil {
+				sh.pub.release()
+				sh.pub = nil
+			}
+			sh.stateDirty = false
+		}
+		if !sh.pageDirty {
+			return nil
+		}
+		if err := sh.pool.Flush(); err != nil {
+			return err
+		}
+		sh.epoch = sh.store.Publish()
+		sh.pageDirty = false
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	w.seq++
 	w.commits++
 	return nil
 }
@@ -325,103 +562,60 @@ func (w *Workspace) dropPubLocked() {
 	}
 }
 
-// Snapshot returns a read view pinned to the latest published epoch.
-// The view is immune to later mutations, safe for concurrent use, and
-// must be Closed to let the epoch's retired page versions be reclaimed.
-// The capture is performed at most once per epoch — concurrent
-// snapshots between two mutations share one immutable state — and the
-// shared case is lock-free: only the first snapshot after a mutation
-// (which performs the capture) synchronizes with the writer.
-func (w *Workspace) Snapshot() (*View, error) {
-	// Fast path: a published state is cached and alive; retain it
-	// without touching the writer lock. (During an in-flight mutation
-	// this hands out the previous epoch — exactly the latest published
-	// state.) The closed re-check after the retain closes the window
-	// where a racing Close — whose cache invalidation cannot revoke a
-	// pointer already loaded — would otherwise let a post-Close call
-	// succeed while other views keep the state alive.
-	if p := w.pubA.Load(); p != nil && p.tryRetain() {
-		if w.closedA.Load() {
-			p.release()
-			return nil, ErrClosed
+// runShards invokes fn once per shard, fanning out across
+// ShardOptions.SearchWorkers goroutines. fn must confine its writes to
+// its own shard (the caller holds w.mu, so global state is stable to
+// read). Every shard runs even when one fails, and the error of the
+// lowest-numbered failing shard is returned — the same error at every
+// worker setting.
+func (w *Workspace) runShards(fn func(i int, sh *core) error) error {
+	if w.workers <= 1 || len(w.shards) == 1 {
+		var first error
+		for i, sh := range w.shards {
+			if err := fn(i, sh); err != nil && first == nil {
+				first = err
+			}
 		}
-		return &View{pub: p}, nil
+		return first
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.liveLocked(); err != nil {
-		return nil, err
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, w.workers)
+	errs := make([]error, len(w.shards))
+	for i, sh := range w.shards {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int, sh *core) {
+			defer wg.Done()
+			errs[i] = fn(i, sh)
+			<-sem
+		}(i, sh)
 	}
-	if w.pub == nil {
-		w.pub = w.captureLocked()
-		w.pubA.Store(w.pub)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	w.pub.retain()
-	return &View{pub: w.pub}, nil
-}
-
-// captureLocked freezes the logical state of the current epoch. Pair,
-// object, and function slices are flat copies whose per-entity points
-// and weights alias the immutable originals; derived forms (sort
-// order, indexes) are materialized lazily by the views. Holds w.mu.
-func (w *Workspace) captureLocked() *pubState {
-	p := &pubState{
-		epoch: w.epoch,
-		dims:  w.Dims(),
-		snap:  w.vstore.Acquire(),
-		meta:  w.st.tree.Meta(),
-		stats: w.statsLocked(),
-		avail: w.avail.Skyline(),
-	}
-	p.refs.Store(1) // the workspace's own cache reference
-	p.pairs = w.pairsLocked()
-	p.objs = make([]Object, 0, len(w.objs))
-	for _, o := range w.objs {
-		p.objs = append(p.objs, o)
-	}
-	p.funcs = make([]Function, 0, len(w.funcs))
-	for _, f := range w.funcs {
-		p.funcs = append(p.funcs, f)
-	}
-	return p
-}
-
-// Dims returns the workspace dimensionality.
-func (w *Workspace) Dims() int { return w.st.p.Dims }
-
-// Close releases the page stores behind both indexes. The workspace
-// must not be used afterwards.
-func (w *Workspace) Close() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return
-	}
-	w.closed = true
-	w.closedA.Store(true)
-	w.dropPubLocked()
-	w.st.release()
-	if w.fstore != nil {
-		w.fstore.Close()
-	}
-	if w.dur != nil && w.dur.log != nil {
-		w.dur.log.Close()
-	}
+	return nil
 }
 
 // link records one assigned unit on both sides.
-func (w *Workspace) link(p wsPair) {
-	w.byObj[p.oid] = append(w.byObj[p.oid], p)
+func (w *Workspace) link(p pair) {
+	sh := w.shards[w.objShard[p.oid]]
+	sh.units++
+	sh.byObj[p.oid] = append(sh.byObj[p.oid], p)
 	w.byFunc[p.fid] = append(w.byFunc[p.fid], p)
 }
 
 // unlink removes one instance of the pair from both sides.
-func (w *Workspace) unlink(p wsPair) {
-	w.byObj[p.oid] = cutPair(w.byObj[p.oid], p)
+func (w *Workspace) unlink(p pair) {
+	sh := w.shards[w.objShard[p.oid]]
+	sh.units--
+	sh.byObj[p.oid] = cutPair(sh.byObj[p.oid], p)
 	w.byFunc[p.fid] = cutPair(w.byFunc[p.fid], p)
 }
 
-func cutPair(ps []wsPair, p wsPair) []wsPair {
+func cutPair(ps []pair, p pair) []pair {
 	for i := range ps {
 		if ps[i] == p {
 			ps[i] = ps[len(ps)-1]
@@ -431,302 +625,11 @@ func cutPair(ps []wsPair, p wsPair) []wsPair {
 	panic("assign: workspace pair index out of sync")
 }
 
-// worstOfObj returns the weakest assignment an object holds — the one a
-// stronger proposer displaces. Greedy order: lower score is worse; on a
-// tie the higher function ID lost the tiebreak, so it goes first.
-func worstOfObj(ps []wsPair) wsPair {
-	worst := ps[0]
-	for _, p := range ps[1:] {
-		if p.score < worst.score || (p.score == worst.score && p.fid > worst.fid) {
-			worst = p
-		}
-	}
-	return worst
-}
-
-// worstOfFunc is the function-side mirror: lower score is worse, ties
-// broken toward the higher object ID.
-func worstOfFunc(ps []wsPair) wsPair {
-	worst := ps[0]
-	for _, p := range ps[1:] {
-		if p.score < worst.score || (p.score == worst.score && p.oid > worst.oid) {
-			worst = p
-		}
-	}
-	return worst
-}
-
-// AddObject introduces a new object: it joins both the R-tree and the
-// availability skyline, then pulls takers for its capacity via chain
-// repair.
-func (w *Workspace) AddObject(o Object) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.applyLocked([]Mutation{{Kind: MutAddObject, Object: o}})
-}
-
-// RemoveObject withdraws an object. Its assigned functions are freed
-// and re-chained; the availability skyline is invalidated through
-// Discard (delta maintenance: tombstoned if the object is parked inside
-// a pruned list).
-func (w *Workspace) RemoveObject(id uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.applyLocked([]Mutation{{Kind: MutRemoveObject, ID: id}})
-}
-
-// AddFunction introduces a new preference function and runs the paper's
-// chain update: the arrival proposes down its preference order,
-// displacing strictly worse assignments along a bounded chain.
-func (w *Workspace) AddFunction(f Function) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.applyLocked([]Mutation{{Kind: MutAddFunction, Function: f}})
-}
-
-// RemoveFunction withdraws a function; the object units it held become
-// vacancies that pull replacement functions along chains.
-func (w *Workspace) RemoveFunction(id uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.applyLocked([]Mutation{{Kind: MutRemoveFunction, ID: id}})
-}
-
-// restoreObjectUnit gives one unit of capacity back to an object; a
-// revival (exhausted → available) re-enters the availability skyline.
-func (w *Workspace) restoreObjectUnit(oid uint64) {
-	if w.st.objCaps.restore(oid) {
-		o := w.objs[oid]
-		if err := w.avail.Insert(rtree.Item{ID: oid, Point: o.Point}); err != nil {
-			// Insert only errors on a live duplicate, which the
-			// availability bookkeeping rules out.
-			panic(fmt.Sprintf("assign: workspace availability out of sync: %v", err))
-		}
-	}
-}
-
-// consumeObjectUnit takes one unit of an object's capacity; exhaustion
-// leaves the availability skyline via Discard.
-func (w *Workspace) consumeObjectUnit(oid uint64) error {
-	if w.st.objCaps.consume(oid) {
-		return w.avail.Discard(oid)
-	}
-	return nil
-}
-
-func (w *Workspace) pushFunc(id uint64) { w.queue = append(w.queue, repairItem{isFunc: true, id: id}) }
-func (w *Workspace) pushObj(id uint64)  { w.queue = append(w.queue, repairItem{isFunc: false, id: id}) }
-
-// liveLocked guards against use after Close and after a corrupting
-// mid-mutation failure. Caller holds w.mu.
-func (w *Workspace) liveLocked() error {
-	if w.closed {
-		return ErrClosed
-	}
-	if w.corrupt != nil {
-		return fmt.Errorf("%w: %w", ErrCorrupt, w.corrupt)
-	}
-	return nil
-}
-
-// repair drains the free-unit queue. Every step either fills a free
-// slot (bounded by total capacity) or replaces an assignment with a
-// strictly better one in the greedy order, so the cascade terminates;
-// at quiescence no blocking pair remains, and with both sides ranking
-// pairs by the same score that stable matching is the greedy one.
-func (w *Workspace) repair() error {
-	for len(w.queue) > 0 {
-		it := w.queue[0]
-		w.queue = w.queue[1:]
-		var err error
-		if it.isFunc {
-			err = w.placeFunction(it.id)
-		} else {
-			err = w.fillObject(it.id)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// placeFunction runs proposal chains for every free unit of a function.
-func (w *Workspace) placeFunction(fid uint64) error {
-	if _, ok := w.funcs[fid]; !ok {
-		return nil // departed while queued
-	}
-	for w.st.funcCaps.remaining[fid] > 0 {
-		oid, score, displace, ok, err := w.bestEntry(fid)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil // no object accepts: the unit stays free
-		}
-		if displace {
-			evicted := worstOfObj(w.byObj[oid])
-			w.unlink(evicted)
-			w.st.funcCaps.restore(evicted.fid)
-			w.pushFunc(evicted.fid)
-		} else if err := w.consumeObjectUnit(oid); err != nil {
-			return err
-		}
-		w.st.funcCaps.consume(fid)
-		w.link(wsPair{fid: fid, oid: oid, score: score})
-		w.chainLen++
-	}
-	return nil
-}
-
 // scorerOf returns a live function's effective scorer: its scoring
 // family over the γ-folded weights. Struct-by-value over existing
 // slices — no allocation on the repair hot paths.
 func (w *Workspace) scorerOf(fid uint64) score.Scorer {
 	return score.Scorer{Fam: w.funcs[fid].Fam, W: w.eff[fid]}
-}
-
-// bestEntry finds the best object a function unit can enter: the best
-// available object (scanned off the availability skyline, no I/O), or
-// a full object holding a strictly worse assignment. The availability
-// score is the ceiling of the displacement search. Both the frontier
-// scan and the BRS displacement search run under the function's scorer,
-// which is what keeps repair correct for every monotone family.
-func (w *Workspace) bestEntry(fid uint64) (oid uint64, sc float64, displace, ok bool, err error) {
-	fsc := w.scorerOf(fid)
-	availScore, availID := math.Inf(-1), uint64(0)
-	haveAvail := false
-	// One batched kernel pass over the frontier's columnar mirror —
-	// bit-identical scores and the same (score, lowest-ID) selection as
-	// the former per-item Skyline() scan.
-	if it, s, ok := w.avail.Best(fsc); ok {
-		availScore, availID, haveAvail = s, it.ID, true
-	}
-
-	bound := availScore
-	sr := topk.NewScorerSearcher(w.st.tree, fsc, func(cand uint64) bool {
-		return !w.displaceable(fid, fsc, cand)
-	})
-	w.searches++
-	it, s, found, err := sr.NextAtLeast(bound)
-	if err != nil {
-		return 0, 0, false, false, err
-	}
-	if found && (!haveAvail || s > availScore || (s == availScore && it.ID < availID)) {
-		return it.ID, s, true, true, nil
-	}
-	if haveAvail {
-		return availID, availScore, false, true, nil
-	}
-	return 0, 0, false, false, nil
-}
-
-// displaceable reports whether a full object would evict its worst
-// assignment in favor of the proposing function (available objects are
-// handled by the skyline path and skipped here).
-func (w *Workspace) displaceable(fid uint64, fsc score.Scorer, oid uint64) bool {
-	if w.st.objCaps.remaining[oid] > 0 {
-		return false
-	}
-	worst := worstOfObj(w.byObj[oid])
-	s := fsc.Score(w.objs[oid].Point)
-	return s > worst.score || (s == worst.score && fid < worst.fid)
-}
-
-// fillObject runs vacancy chains for every free unit of an object.
-func (w *Workspace) fillObject(oid uint64) error {
-	if _, ok := w.objs[oid]; !ok {
-		return nil // departed while queued
-	}
-	for w.st.objCaps.remaining[oid] > 0 {
-		gid, score, ok, err := w.bestTaker(oid)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil // nobody wants the vacancy: it stays open
-		}
-		if w.st.funcCaps.remaining[gid] > 0 {
-			w.st.funcCaps.consume(gid)
-		} else {
-			// The mover abandons its worst unit, cascading the vacancy.
-			left := worstOfFunc(w.byFunc[gid])
-			w.unlink(left)
-			w.restoreObjectUnit(left.oid)
-			w.pushObj(left.oid)
-		}
-		if err := w.consumeObjectUnit(oid); err != nil {
-			return err
-		}
-		w.link(wsPair{fid: gid, oid: oid, score: score})
-		w.chainLen++
-	}
-	return nil
-}
-
-// bestTaker finds the best function that wants a vacant object unit: a
-// function with spare capacity wants it at any score; a fully assigned
-// function wants it only above its current worst assignment. The
-// reverse search runs over the function R-tree, bounded below by the
-// weakest assignment any function holds (nothing scoring under that can
-// be wanted).
-func (w *Workspace) bestTaker(oid uint64) (gid uint64, score float64, ok bool, err error) {
-	o := w.objs[oid]
-	bound := math.Inf(1)
-	if w.st.funcCaps.live > 0 {
-		// Some function has spare capacity and wants anything: no bound.
-		bound = math.Inf(-1)
-	} else {
-		for fid := range w.funcs {
-			if worst := worstOfFunc(w.byFunc[fid]); worst.score < bound {
-				bound = worst.score
-			}
-		}
-	}
-	sr := topk.NewSearcher(w.ftree, o.Point, func(cand uint64) bool {
-		return !w.wants(cand, oid, o.Point)
-	})
-	w.searches++
-	it, s, found, err := sr.NextAtLeast(bound)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	gid = it.ID
-	// Non-linear functions are outside the weight tree; the columnar
-	// blocks score them all with one dual-kernel pass under the same
-	// wants filter and bound, breaking ties to the lower ID exactly as
-	// the BRS enumeration does (Best follows the same (score, lowest-ID)
-	// total order with bit-identical scores).
-	if bid, v, bok := w.nonlin.Best(o.Point, func(fid uint64, v float64) bool {
-		return v >= bound && w.wantsAt(fid, oid, v)
-	}); bok {
-		if !found || v > s || (v == s && bid < gid) {
-			gid, s, found = bid, v, true
-		}
-	}
-	if !found {
-		return 0, 0, false, nil
-	}
-	return gid, s, true, nil
-}
-
-// wants reports whether a function prefers the vacant object over its
-// current worst assignment (or has a free unit).
-func (w *Workspace) wants(fid, oid uint64, point geom.Point) bool {
-	if w.st.funcCaps.remaining[fid] > 0 {
-		return true
-	}
-	return w.wantsAt(fid, oid, w.scorerOf(fid).Score(point))
-}
-
-// wantsAt is wants with the function's score for the object already in
-// hand (spare capacity is re-checked so both entry points agree).
-func (w *Workspace) wantsAt(fid, oid uint64, s float64) bool {
-	if w.st.funcCaps.remaining[fid] > 0 {
-		return true
-	}
-	worst := worstOfFunc(w.byFunc[fid])
-	return s > worst.score || (s == worst.score && oid < worst.oid)
 }
 
 // sortPairsDefinitional orders pairs in the definitional greedy order:
@@ -766,17 +669,6 @@ func (w *Workspace) Pairs() []Pair {
 	return out
 }
 
-// ObjectPoint returns a live object's feature vector.
-func (w *Workspace) ObjectPoint(id uint64) (geom.Point, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	o, ok := w.objs[id]
-	if !ok {
-		return nil, false
-	}
-	return o.Point, true
-}
-
 // PairsOf returns the current assignments of one function (unordered).
 func (w *Workspace) PairsOf(fid uint64) []Pair {
 	w.mu.Lock()
@@ -787,6 +679,17 @@ func (w *Workspace) PairsOf(fid uint64) []Pair {
 		out[i] = Pair{FuncID: p.fid, ObjectID: p.oid, Score: p.score}
 	}
 	return out
+}
+
+// ObjectPoint returns a live object's feature vector.
+func (w *Workspace) ObjectPoint(id uint64) (geom.Point, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	s, ok := w.objShard[id]
+	if !ok {
+		return nil, false
+	}
+	return w.shards[s].objs[id].Point, true
 }
 
 // ProblemSnapshot materializes the current instance as a Problem
@@ -800,18 +703,28 @@ func (w *Workspace) ProblemSnapshot() *Problem {
 }
 
 func (w *Workspace) problemLocked() *Problem {
-	p := &Problem{Dims: w.Dims()}
-	for _, o := range w.objs {
-		p.Objects = append(p.Objects, Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
+	p := &Problem{Dims: w.dims}
+	for _, sh := range w.shards {
+		for _, o := range sh.objs {
+			p.Objects = append(p.Objects, Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
+		}
 	}
-	sort.Slice(p.Objects, func(i, j int) bool { return p.Objects[i].ID < p.Objects[j].ID })
+	sortObjectsByID(p.Objects)
 	for _, f := range w.funcs {
 		weights := make([]float64, len(f.Weights))
 		copy(weights, f.Weights)
 		p.Functions = append(p.Functions, Function{ID: f.ID, Weights: weights, Gamma: f.Gamma, Capacity: f.Capacity, Fam: f.Fam})
 	}
-	sort.Slice(p.Functions, func(i, j int) bool { return p.Functions[i].ID < p.Functions[j].ID })
+	sortFunctionsByID(p.Functions)
 	return p
+}
+
+func sortObjectsByID(objs []Object) {
+	sort.Slice(objs, func(i, j int) bool { return objs[i].ID < objs[j].ID })
+}
+
+func sortFunctionsByID(funcs []Function) {
+	sort.Slice(funcs, func(i, j int) bool { return funcs[i].ID < funcs[j].ID })
 }
 
 // VerifyStable checks that the current matching is stable for the
@@ -840,23 +753,32 @@ func (w *Workspace) Stats() WorkspaceStats {
 }
 
 func (w *Workspace) statsLocked() WorkspaceStats {
-	units := 0
-	for _, ps := range w.byFunc {
-		units += len(ps)
-	}
 	s := WorkspaceStats{
-		Objects:       len(w.objs),
-		Functions:     len(w.funcs),
-		AssignedUnits: units,
-		SkylineSize:   w.avail.Size(),
-		Mutations:     w.mutations,
-		Commits:       w.commits,
-		ChainSteps:    w.chainLen,
-		Searches:      w.searches,
-		Resolves:      w.resolves,
+		Shards:     len(w.shards),
+		Functions:  len(w.funcs),
+		Mutations:  w.mutations,
+		Commits:    w.commits,
+		Seq:        w.seq,
+		ChainSteps: w.chainLen,
+		Searches:   w.searches,
+		Resolves:   w.resolves,
+		PerShard:   make([]ShardStats, len(w.shards)),
+	}
+	for i, sh := range w.shards {
+		s.PerShard[i] = ShardStats{
+			Objects:       len(sh.objs),
+			AssignedUnits: sh.units,
+			Frontier:      sh.avail.Size(),
+			Epoch:         sh.epoch,
+		}
+		s.Objects += len(sh.objs)
+		s.AssignedUnits += sh.units
+		s.SkylineSize += sh.avail.Size()
 	}
 	if !w.closed {
-		s.IO = w.st.store.IO().Snapshot()
+		for _, sh := range w.shards {
+			s.IO.Add(sh.store.IO().Snapshot())
+		}
 		s.IO.Add(w.fstore.IO().Snapshot())
 	}
 	return s

@@ -7,21 +7,20 @@ import (
 	"fairassign/internal/assign"
 	"fairassign/internal/datagen"
 	"fairassign/internal/score"
-	"fairassign/internal/shard"
 )
 
 // ShardCounts is the standard shard-count grid of the invariance sweep.
-// 1 exercises the degenerate single-shard engine against the workspace,
-// 2 and 4 the even spatial splits, and 7 an odd count whose uneven
-// ranges catch any balance assumption baked into routing or repair.
+// 1 rebuilds the reference layout independently (a second one-shard
+// workspace must replay to the same bytes), 2 and 4 are the even
+// spatial splits, and 7 an odd count whose uneven ranges catch any
+// balance assumption baked into routing or repair.
 var ShardCounts = []int{1, 2, 4, 7}
 
 // identicalPairs asserts two definitionally sorted pair lists are
 // byte-identical: same pairs, same order, bit-equal scores. This is the
 // shard-count invariance contract — stronger than sameMatching's
-// epsilon, because the sharded engine runs the same float operations in
-// the same order as the workspace, just routed through per-shard
-// structures.
+// epsilon, because every shard count runs the same float operations in
+// the same order, just routed through per-shard structures.
 func identicalPairs(got, want []assign.Pair) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d pairs, want %d", len(got), len(want))
@@ -35,59 +34,64 @@ func identicalPairs(got, want []assign.Pair) error {
 }
 
 // VerifyShardInvariance runs one mutation script simultaneously on a
-// single Workspace and on sharded engines at every given shard count,
-// applying identical mutation batches to all replicas. After the
-// initial build and after every batch it asserts, per engine:
+// one-shard reference Workspace and on workspaces at every given shard
+// count, applying identical mutation batches to all replicas. After the
+// initial build and after every batch the reference must be
+// score-identical to a cold SB solve of its population and stable
+// (checkMutated), and per shard count:
 //
-//   - the matching is byte-identical to the workspace's (same pairs,
+//   - the matching is byte-identical to the reference's (same pairs,
 //     same definitional order, bit-equal scores);
 //   - the partition-invariant stats (objects, functions, assigned
 //     units) agree;
-//   - global TopK through the sharded view's ceiling merge returns
-//     exactly what the workspace view's single-tree BRS returns, for a
+//   - TopK through the view's per-shard ceiling merge returns exactly
+//     what the reference view's single-tree search returns, for a
 //     sample of live preference functions;
-//   - the sharded view's frozen matching is stable for its own frozen
+//   - the view's frozen matching is stable for its own frozen
 //     population.
 func VerifyShardInvariance(spec MutationSpec, cfg assign.Config, counts []int) error {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	p := generateMutationBase(spec, rng)
 	ws, err := assign.NewWorkspace(p, cfg)
 	if err != nil {
-		return fmt.Errorf("[%s] build workspace: %w", spec, err)
+		return fmt.Errorf("[%s] build reference workspace: %w", spec, err)
 	}
 	defer ws.Close()
-	engines := make([]*shard.Engine, len(counts))
+	replicas := make([]*assign.Workspace, len(counts))
 	for i, n := range counts {
-		eng, err := shard.New(p, cfg, shard.Options{Shards: n})
+		rep, err := assign.NewShardedWorkspace(p, cfg, assign.ShardOptions{Shards: n})
 		if err != nil {
-			return fmt.Errorf("[%s] build %d-shard engine: %w", spec, n, err)
+			return fmt.Errorf("[%s] build %d-shard workspace: %w", spec, n, err)
 		}
-		defer eng.Close()
-		engines[i] = eng
+		defer rep.Close()
+		replicas[i] = rep
 	}
 
 	check := func(label string) error {
+		if err := checkMutated(ws, spec, label); err != nil {
+			return err
+		}
 		want := ws.Pairs()
 		wstats := ws.Stats()
 		wv, err := ws.Snapshot()
 		if err != nil {
-			return fmt.Errorf("[%s] %s: workspace snapshot: %w", spec, label, err)
+			return fmt.Errorf("[%s] %s: reference snapshot: %w", spec, label, err)
 		}
 		defer wv.Close()
 		scorers := sampleScorers(ws.ProblemSnapshot(), rng, 3)
-		for i, eng := range engines {
+		for i, rep := range replicas {
 			n := counts[i]
-			if err := identicalPairs(eng.Pairs(), want); err != nil {
-				return fmt.Errorf("[%s] %s: %d shards vs workspace: %w", spec, label, n, err)
+			if err := identicalPairs(rep.Pairs(), want); err != nil {
+				return fmt.Errorf("[%s] %s: %d shards vs reference: %w", spec, label, n, err)
 			}
-			estats := eng.Stats()
-			if estats.Objects != wstats.Objects || estats.Functions != wstats.Functions ||
-				estats.AssignedUnits != wstats.AssignedUnits {
-				return fmt.Errorf("[%s] %s: %d shards stats (%d obj, %d func, %d units) vs workspace (%d, %d, %d)",
-					spec, label, n, estats.Objects, estats.Functions, estats.AssignedUnits,
+			rstats := rep.Stats()
+			if rstats.Objects != wstats.Objects || rstats.Functions != wstats.Functions ||
+				rstats.AssignedUnits != wstats.AssignedUnits {
+				return fmt.Errorf("[%s] %s: %d shards stats (%d obj, %d func, %d units) vs reference (%d, %d, %d)",
+					spec, label, n, rstats.Objects, rstats.Functions, rstats.AssignedUnits,
 					wstats.Objects, wstats.Functions, wstats.AssignedUnits)
 			}
-			ev, err := eng.Snapshot()
+			ev, err := rep.Snapshot()
 			if err != nil {
 				return fmt.Errorf("[%s] %s: %d shards snapshot: %w", spec, label, n, err)
 			}
@@ -103,11 +107,11 @@ func VerifyShardInvariance(spec MutationSpec, cfg assign.Config, counts []int) e
 					k := 1 + rng.Intn(12)
 					wi, wsc, err := wv.TopKScorer(sc, k)
 					if err != nil {
-						return fmt.Errorf("workspace topk: %w", err)
+						return fmt.Errorf("reference topk: %w", err)
 					}
 					ei, esc, err := ev.TopKScorer(sc, k)
 					if err != nil {
-						return fmt.Errorf("sharded topk: %w", err)
+						return fmt.Errorf("topk: %w", err)
 					}
 					if len(ei) != len(wi) {
 						return fmt.Errorf("topk(k=%d): %d results, want %d", k, len(ei), len(wi))
@@ -192,10 +196,10 @@ func VerifyShardInvariance(spec MutationSpec, cfg assign.Config, counts []int) e
 		}
 		label := fmt.Sprintf("batch %d (%d muts)", step, len(muts))
 		if err := ws.Apply(muts); err != nil {
-			return fmt.Errorf("[%s] %s: workspace apply: %w", spec, label, err)
+			return fmt.Errorf("[%s] %s: reference apply: %w", spec, label, err)
 		}
-		for i, eng := range engines {
-			if err := eng.Apply(muts); err != nil {
+		for i, rep := range replicas {
+			if err := rep.Apply(muts); err != nil {
 				return fmt.Errorf("[%s] %s: %d shards apply: %w", spec, label, counts[i], err)
 			}
 		}

@@ -8,8 +8,9 @@ import (
 
 // shardSweep enumerates the invariance scripts: 3 distributions × dims
 // 2..5 × {plain, capacities+priorities}, 10 batches each. Every script
-// replays on a single Workspace and on engines at every ShardCounts
-// entry simultaneously.
+// replays on a one-shard reference Workspace (checked against a cold
+// solve after every batch) and on workspaces at every ShardCounts entry
+// simultaneously.
 func shardSweep(scriptsPerCell int) []MutationSpec {
 	var specs []MutationSpec
 	seed := int64(11_000)
@@ -34,8 +35,8 @@ func shardSweep(scriptsPerCell int) []MutationSpec {
 }
 
 // TestShardInvarianceSweep is the acceptance gate for the sharded tier:
-// at shard counts {1,2,4,7}, the engine's matching must stay
-// byte-identical to the single workspace's after every mutation batch,
+// at shard counts {1,2,4,7}, the matching must stay byte-identical to
+// the one-shard reference's after every mutation batch,
 // with agreeing invariant stats and exactly matching global TopK
 // results through the ceiling merge.
 func TestShardInvarianceSweep(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -104,8 +105,13 @@ func captureState(w *assign.Workspace) twinState {
 	})
 	st := w.Stats()
 	// Physical I/O legitimately diverges after recovery (a fresh buffer
-	// pool is cold); everything else must be identical.
+	// pool is cold), and so do the per-shard page-store epochs (the
+	// restored store publishes afresh); everything else must be
+	// identical.
 	st.IO = metrics.IOCounter{}
+	for i := range st.PerShard {
+		st.PerShard[i].Epoch = 0
+	}
 	return twinState{pairs: pairs, stats: st, avail: availIDs(w)}
 }
 
@@ -132,7 +138,7 @@ func sameState(a, b twinState) error {
 			return fmt.Errorf("pair %d: %+v != %+v", i, a.pairs[i], b.pairs[i])
 		}
 	}
-	if a.stats != b.stats {
+	if !reflect.DeepEqual(a.stats, b.stats) {
 		return fmt.Errorf("stats %+v != %+v", a.stats, b.stats)
 	}
 	if len(a.avail) != len(b.avail) {

@@ -1,11 +1,21 @@
+// Package shard partitions a workspace's object space across shards:
+// a spatial range partition cut along the STR bulk-load key order, with
+// an ID-hash fallback for degenerate distributions. The sharded
+// workspace itself (one repair engine for any shard count) lives in
+// internal/assign.
 package shard
 
 import (
 	"sort"
 
-	"fairassign/internal/assign"
 	"fairassign/internal/geom"
 )
+
+// Key is the routing key of one object: its point and its ID.
+type Key struct {
+	Point geom.Point
+	ID    uint64
+}
 
 // PartitionKind selects how objects are mapped to shards.
 type PartitionKind uint8
@@ -69,7 +79,7 @@ type Partitioner struct {
 // values (a degenerate distribution: everything stacked on a line, or
 // fewer objects than shards), Auto falls back to ID hashing, which
 // keeps shards balanced regardless of geometry.
-func NewPartitioner(dims, n int, objs []assign.Object, kind PartitionKind) *Partitioner {
+func NewPartitioner(dims, n int, objs []Key, kind PartitionKind) *Partitioner {
 	if n < 1 {
 		n = 1
 	}
@@ -111,7 +121,7 @@ func NewPartitioner(dims, n int, objs []assign.Object, kind PartitionKind) *Part
 
 // bestSplitAxis picks the axis with the most distinct coordinates,
 // requiring at least n so every range boundary separates real mass.
-func bestSplitAxis(dims, n int, objs []assign.Object) (int, bool) {
+func bestSplitAxis(dims, n int, objs []Key) (int, bool) {
 	bestDim, bestDistinct := 0, 0
 	seen := make(map[float64]struct{}, len(objs))
 	for d := 0; d < dims; d++ {

@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"errors"
@@ -7,7 +7,22 @@ import (
 	"fairassign/internal/assign"
 	"fairassign/internal/datagen"
 	"fairassign/internal/geom"
+	"fairassign/internal/shard"
 )
+
+// keys converts objects to routing keys.
+func keys(objs []assign.Object) []shard.Key {
+	out := make([]shard.Key, len(objs))
+	for i, o := range objs {
+		out[i] = shard.Key{Point: o.Point, ID: o.ID}
+	}
+	return out
+}
+
+// newSharded builds a workspace over n shards.
+func newSharded(p *assign.Problem, cfg assign.Config, n int) (*assign.Workspace, error) {
+	return assign.NewShardedWorkspace(p, cfg, assign.ShardOptions{Shards: n})
+}
 
 func testProblem(t *testing.T, n int) *assign.Problem {
 	t.Helper()
@@ -21,8 +36,8 @@ func testProblem(t *testing.T, n int) *assign.Problem {
 func TestPartitionerSpatialBalance(t *testing.T) {
 	objs := datagen.Objects(datagen.Independent, 1000, 3, 7)
 	for _, n := range []int{1, 2, 4, 7} {
-		p := NewPartitioner(3, n, objs, PartitionAuto)
-		if p.Kind() != PartitionSpatial {
+		p := shard.NewPartitioner(3, n, keys(objs), shard.PartitionAuto)
+		if p.Kind() != shard.PartitionSpatial {
 			t.Fatalf("n=%d: kind = %s, want spatial", n, p.Kind())
 		}
 		counts := make([]int, n)
@@ -48,8 +63,8 @@ func TestPartitionerHashFallback(t *testing.T) {
 	for i := range objs {
 		objs[i] = assign.Object{ID: uint64(i + 1), Point: geom.Point{0.5, 0.5}}
 	}
-	p := NewPartitioner(2, 4, objs, PartitionAuto)
-	if p.Kind() != PartitionHash {
+	p := shard.NewPartitioner(2, 4, keys(objs), shard.PartitionAuto)
+	if p.Kind() != shard.PartitionHash {
 		t.Fatalf("kind = %s, want hash fallback", p.Kind())
 	}
 	counts := make([]int, 4)
@@ -63,14 +78,14 @@ func TestPartitionerHashFallback(t *testing.T) {
 	}
 	// Forced spatial stays spatial even when degenerate (ID tiebreak
 	// keeps the ranges well defined).
-	if k := NewPartitioner(2, 4, objs, PartitionSpatial).Kind(); k != PartitionSpatial {
+	if k := shard.NewPartitioner(2, 4, keys(objs), shard.PartitionSpatial).Kind(); k != shard.PartitionSpatial {
 		t.Fatalf("forced spatial resolved to %s", k)
 	}
 }
 
 func TestPartitionerRouteStable(t *testing.T) {
 	objs := datagen.Objects(datagen.Correlated, 200, 2, 11)
-	p := NewPartitioner(2, 4, objs, PartitionAuto)
+	p := shard.NewPartitioner(2, 4, keys(objs), shard.PartitionAuto)
 	// Routing is a pure function: the same (point, ID) always lands on
 	// the same shard, including points never seen at construction.
 	fresh := datagen.Objects(datagen.Correlated, 50, 2, 12)
@@ -84,16 +99,16 @@ func TestPartitionerRouteStable(t *testing.T) {
 
 func TestEngineRejectsDurability(t *testing.T) {
 	p := testProblem(t, 50)
-	if _, err := New(p, assign.Config{Durable: true}, Options{Shards: 2}); !errors.Is(err, ErrDurabilityUnsupported) {
+	if _, err := newSharded(p, assign.Config{Durable: true}, 2); !errors.Is(err, assign.ErrDurabilityUnsupported) {
 		t.Fatalf("Durable config: err = %v, want ErrDurabilityUnsupported", err)
 	}
-	if _, err := New(p, assign.Config{WALDir: t.TempDir()}, Options{Shards: 2}); !errors.Is(err, ErrDurabilityUnsupported) {
+	if _, err := newSharded(p, assign.Config{WALDir: t.TempDir()}, 2); !errors.Is(err, assign.ErrDurabilityUnsupported) {
 		t.Fatalf("WALDir config: err = %v, want ErrDurabilityUnsupported", err)
 	}
 }
 
 func TestSnapshotIsolationAcrossShards(t *testing.T) {
-	e, err := New(testProblem(t, 120), assign.Config{PageSize: 512}, Options{Shards: 4})
+	e, err := newSharded(testProblem(t, 120), assign.Config{PageSize: 512}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +120,7 @@ func TestSnapshotIsolationAcrossShards(t *testing.T) {
 	}
 	defer before.Close()
 	frozen := append([]assign.Pair(nil), before.Pairs()...)
-	seq := before.Seq()
+	seq := before.Epoch()
 
 	// Mutate: one arrival and one departure, routed to whatever shards
 	// own them.
@@ -121,8 +136,8 @@ func TestSnapshotIsolationAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer after.Close()
-	if after.Seq() <= seq {
-		t.Fatalf("sequence did not advance: %d -> %d", seq, after.Seq())
+	if after.Epoch() <= seq {
+		t.Fatalf("sequence did not advance: %d -> %d", seq, after.Epoch())
 	}
 	got := before.Pairs()
 	if len(got) != len(frozen) {
@@ -147,50 +162,8 @@ func TestSnapshotIsolationAcrossShards(t *testing.T) {
 	}
 }
 
-func TestCleanShardCaptureReuse(t *testing.T) {
-	e, err := New(testProblem(t, 400), assign.Config{PageSize: 512}, Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	v1, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-
-	// A single object arrival dirties exactly one shard. The next
-	// snapshot must reuse the other shards' cached captures: same
-	// shardPub pointers, new one only where the mutation landed.
-	o := assign.Object{ID: 900_100, Point: geom.Point{0.77, 0.18}}
-	dirty := e.RouteObject(o.Point, o.ID)
-	if err := e.Apply([]assign.Mutation{{Kind: assign.MutAddObject, Object: o}}); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	for i := range v1.pub.shards {
-		same := v1.pub.shards[i] == v2.pub.shards[i]
-		if i == dirty && same {
-			t.Fatalf("dirty shard %d did not recapture", i)
-		}
-		if i != dirty && !same {
-			t.Fatalf("clean shard %d recaptured (epoch %d -> %d)", i,
-				v1.pub.shards[i].epoch, v2.pub.shards[i].epoch)
-		}
-	}
-	// Epochs advance only on the dirty shard.
-	if v2.pub.shards[dirty].epoch <= v1.pub.shards[dirty].epoch {
-		t.Fatalf("dirty shard epoch did not advance")
-	}
-}
-
 func TestShardStatsDecompose(t *testing.T) {
-	e, err := New(testProblem(t, 150), assign.Config{PageSize: 512}, Options{Shards: 3})
+	e, err := newSharded(testProblem(t, 150), assign.Config{PageSize: 512}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,17 +178,20 @@ func TestShardStatsDecompose(t *testing.T) {
 		units += ps.AssignedUnits
 		frontier += ps.Frontier
 	}
-	if objs != s.Objects || units != s.AssignedUnits || frontier != s.Frontier {
+	if objs != s.Objects || units != s.AssignedUnits || frontier != s.SkylineSize {
 		t.Fatalf("per-shard totals (%d, %d, %d) disagree with globals (%d, %d, %d)",
-			objs, units, frontier, s.Objects, s.Functions, s.AssignedUnits)
+			objs, units, frontier, s.Objects, s.AssignedUnits, s.SkylineSize)
 	}
 	if s.Objects != 150 {
 		t.Fatalf("objects = %d, want 150", s.Objects)
 	}
+	if pairs := len(e.Pairs()); units != pairs {
+		t.Fatalf("per-shard units sum to %d, the matching has %d pairs", units, pairs)
+	}
 }
 
 func TestUseAfterClose(t *testing.T) {
-	e, err := New(testProblem(t, 60), assign.Config{}, Options{Shards: 2})
+	e, err := newSharded(testProblem(t, 60), assign.Config{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

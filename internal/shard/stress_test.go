@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"math"
@@ -105,7 +105,7 @@ func TestShardedSnapshotStress(t *testing.T) {
 		}
 	}
 	cfg := assign.Config{PageSize: 512, BufferFrac: 0.05}
-	e, err := New(base, cfg, Options{Shards: 4})
+	e, err := assign.NewShardedWorkspace(base, cfg, assign.ShardOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +150,14 @@ func TestShardedSnapshotStress(t *testing.T) {
 					return
 				}
 				if !scoreMultisetEqual(pairs, cold.Pairs) {
-					t.Errorf("reader %d: seq %d: view matching differs from cold SB solve of its own pinned population (%d pairs vs %d)",
-						r, v.Seq(), len(pairs), len(cold.Pairs))
+					t.Errorf("reader %d: epoch %d: view matching differs from cold SB solve of its own pinned population (%d pairs vs %d)",
+						r, v.Epoch(), len(pairs), len(cold.Pairs))
 					v.Close()
 					return
 				}
 				if readCount.Load()%8 == 0 {
 					if err := v.VerifyStable(); err != nil {
-						t.Errorf("reader %d: seq %d: %v", r, v.Seq(), err)
+						t.Errorf("reader %d: epoch %d: %v", r, v.Epoch(), err)
 					}
 				}
 				v.Close()
@@ -220,7 +220,7 @@ func TestShardedSnapshotStress(t *testing.T) {
 	if err := e.VerifyStable(); err != nil {
 		t.Fatal(err)
 	}
-	// Final differential: the engine's end state equals a cold solve.
+	// Final differential: the workspace's end state equals a cold solve.
 	cold, err := assign.SB(e.ProblemSnapshot(), cfg)
 	if err != nil {
 		t.Fatal(err)

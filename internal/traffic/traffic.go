@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"fairassign"
-	"fairassign/internal/assign"
 	"fairassign/internal/geom"
 	"fairassign/internal/shard"
 )
@@ -222,11 +221,11 @@ func NewTrace(spec Spec) (*Trace, error) {
 	// with drive-time ownership.
 	var rt *router
 	if spec.Shards > 1 {
-		seedObjs := make([]assign.Object, len(tr.Objects))
+		seedObjs := make([]shard.Key, len(tr.Objects))
 		points := make(map[uint64]geom.Point, len(tr.Objects))
 		for i, o := range tr.Objects {
 			pt := geom.Point(o.Attributes)
-			seedObjs[i] = assign.Object{ID: o.ID, Point: pt}
+			seedObjs[i] = shard.Key{Point: pt, ID: o.ID}
 			points[o.ID] = pt
 		}
 		rt = &router{

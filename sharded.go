@@ -1,14 +1,11 @@
 package fairassign
 
 import (
-	"fmt"
-
 	"fairassign/internal/assign"
-	"fairassign/internal/geom"
 	"fairassign/internal/shard"
 )
 
-// PartitionStrategy selects how a ShardedWorkspace maps objects to
+// PartitionStrategy selects how a sharded Workspace maps objects to
 // shards.
 type PartitionStrategy uint8
 
@@ -40,14 +37,13 @@ func (s PartitionStrategy) internal() shard.PartitionKind {
 }
 
 // ErrDurabilityUnsupported is returned by NewShardedWorkspace when the
-// Options request a WAL: the sharded tier has no durability story yet.
-// Run durable single Workspaces, or treat the sharded tier as a
-// rebuildable serving layer.
-var ErrDurabilityUnsupported = shard.ErrDurabilityUnsupported
+// Options request a WAL with more than one shard. Durable workspaces run
+// at one shard; a multi-shard workspace is a rebuildable serving layer.
+var ErrDurabilityUnsupported = assign.ErrDurabilityUnsupported
 
-// ShardedOptions configures a ShardedWorkspace: the embedded Options
-// are honored exactly as in NewWorkspace (Durable/WALDir excepted —
-// they are rejected), plus the shard layout.
+// ShardedOptions configures NewShardedWorkspace: the embedded Options
+// are honored exactly as in NewWorkspace (Durable/WALDir only at one
+// shard), plus the shard layout.
 type ShardedOptions struct {
 	Options
 	// Shards is the number of object shards (<= 0 means 1).
@@ -60,305 +56,16 @@ type ShardedOptions struct {
 	SearchWorkers int
 }
 
-// ShardedWorkspace is the scale-out tier over Workspace: the object
-// space is partitioned across N shards — each with its own R-tree,
-// availability frontier, page store, and epoch stream — behind one
-// stable-matching engine. The matching it maintains is byte-identical
-// to a single Workspace's at every mutation boundary, for every shard
-// count (the conformance suite asserts counts {1,2,4,7}); what changes
-// is the serving economics:
-//
-//   - a mutation dirties only the shard owning its object, so the
-//     commit flushes and republishes 1/N of the page state, and the
-//     next Snapshot re-captures 1/N of the object table (clean shards
-//     are reused by refcount);
-//   - cross-shard repair runs a bounded displacement protocol — each
-//     shard answers frontier and displacement probes over its own
-//     (smaller) structures, fanned out across SearchWorkers on
-//     multi-core hosts;
-//   - global TopK lazily merges per-shard ranked streams by score
-//     ceiling, so shards that cannot contribute stop after one node.
-//
-// ShardedWorkspace follows the same single-writer / many-readers
-// contract as Workspace and satisfies Applier, so MutationQueue (or
-// the shard-routing ShardedQueue) can front it.
-type ShardedWorkspace struct {
-	e    *shard.Engine
-	opts Options
-}
-
-// ShardBreakdown is one shard's slice of ShardedStats.
-type ShardBreakdown struct {
-	// Objects and AssignedUnits this shard owns, and the size of its
-	// availability frontier.
-	Objects       int
-	AssignedUnits int
-	Frontier      int
-	// Epoch is the shard's own page-store epoch; clean shards keep
-	// their epoch while dirty ones advance, which is the amortization
-	// the tier exists for.
-	Epoch uint64
-}
-
-// ShardedStats summarizes a sharded workspace. Objects, Functions, and
-// AssignedUnits are partition-invariant (always equal to the single
-// Workspace's). AvailableFrontier and the work counters are
-// partition-dependent: per-shard frontiers can overlap-free union to
-// more points than one global skyline, and every repair proposal
-// probes all shards.
-type ShardedStats struct {
-	Shards            int
-	Objects           int
-	Functions         int
-	AssignedUnits     int
-	AvailableFrontier int
-	Mutations         int64
-	Commits           int64
-	// Seq is the global commit sequence number Snapshot pins.
-	Seq        uint64
-	ChainSteps int64
-	Searches   int64
-	Resolves   int64
-	IOAccesses int64
-	PerShard   []ShardBreakdown
-}
-
-func shardedStatsFromInternal(s shard.Stats) ShardedStats {
-	out := ShardedStats{
-		Shards:            s.Shards,
-		Objects:           s.Objects,
-		Functions:         s.Functions,
-		AssignedUnits:     s.AssignedUnits,
-		AvailableFrontier: s.Frontier,
-		Mutations:         s.Mutations,
-		Commits:           s.Commits,
-		Seq:               s.Seq,
-		ChainSteps:        s.ChainSteps,
-		Searches:          s.Searches,
-		Resolves:          s.Resolves,
-		IOAccesses:        s.IO.Accesses(),
-	}
-	out.PerShard = make([]ShardBreakdown, len(s.PerShard))
-	for i, ps := range s.PerShard {
-		out.PerShard[i] = ShardBreakdown{
-			Objects:       ps.Objects,
-			AssignedUnits: ps.AssignedUnits,
-			Frontier:      ps.Frontier,
-			Epoch:         ps.Epoch,
-		}
-	}
-	return out
-}
-
-// NewShardedWorkspace validates the inputs, computes the initial
-// matching with one full SB solve, partitions the object space, and
-// bulk-loads one index per shard. Input handling (dimensionality,
-// weight normalization, scorer families) matches NewWorkspace exactly.
-func NewShardedWorkspace(objects []Object, functions []Function, sopts ShardedOptions) (*ShardedWorkspace, error) {
-	if len(objects) == 0 && len(functions) == 0 {
-		return nil, fmt.Errorf("fairassign: nothing to assign")
-	}
-	dims := problemDims(objects, functions)
-	if dims == 0 {
-		return nil, fmt.Errorf("fairassign: cannot derive dimensionality (no objects and no function carries explicit weights)")
-	}
-	p := &assign.Problem{Dims: dims}
-	for _, o := range objects {
-		p.Objects = append(p.Objects, assign.Object{
-			ID:       o.ID,
-			Point:    geom.Point(o.Attributes).Clone(),
-			Capacity: o.Capacity,
-		})
-	}
-	for _, f := range functions {
-		af, err := resolveFunction(f, sopts.Options, dims)
-		if err != nil {
-			return nil, err
-		}
-		p.Functions = append(p.Functions, af)
-	}
-	e, err := shard.New(p, sopts.assignConfig(), shard.Options{
-		Shards:        sopts.Shards,
-		Partition:     sopts.Partition.internal(),
-		SearchWorkers: sopts.SearchWorkers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedWorkspace{e: e, opts: sopts.Options}, nil
-}
-
-// Dims returns the workspace dimensionality.
-func (w *ShardedWorkspace) Dims() int { return w.e.Dims() }
-
-// Shards returns the shard count.
-func (w *ShardedWorkspace) Shards() int { return w.e.ShardCount() }
-
-// Partition returns the resolved partition strategy ("spatial" or
-// "hash" — Auto resolves at construction).
-func (w *ShardedWorkspace) Partition() string { return w.e.Partition().String() }
-
-// ShardOfObject returns the shard owning a live object.
-func (w *ShardedWorkspace) ShardOfObject(id uint64) (int, bool) { return w.e.ShardOfObject(id) }
-
-// RouteMutation returns the shard a mutation's work lands on: the
-// owning (or would-be owning) shard for object operations, and -1 for
-// function operations, whose structures are global. ShardedQueue uses
-// this to coalesce per-shard batches.
-func (w *ShardedWorkspace) RouteMutation(m Mutation) int {
-	switch m.kind {
-	case assign.MutAddObject:
-		return w.e.RouteObject(geom.Point(m.obj.Attributes), m.obj.ID)
-	case assign.MutRemoveObject:
-		if s, ok := w.e.ShardOfObject(m.id); ok {
-			return s
-		}
-		return 0 // unknown ID: validation rejects it wherever it lands
-	default:
-		return -1
-	}
-}
-
-// Apply applies a batch of mutations as one group commit, with
-// Workspace.Apply's exact semantics: up-front sequential validation
-// (an error applies nothing), per-mutation chain repair in arrival
-// order, one global sequence publish at the end — but only the shards
-// the batch actually dirtied flush, republish, and later re-capture.
-func (w *ShardedWorkspace) Apply(muts []Mutation) error {
-	ims := make([]assign.Mutation, len(muts))
-	dims := w.Dims()
-	for i := range muts {
-		im, err := muts[i].internal(w.opts, dims)
-		if err != nil {
-			return fmt.Errorf("fairassign: mutation %d (%s): %w", i, muts[i].String(), err)
-		}
-		ims[i] = im
-	}
-	return w.e.Apply(ims)
-}
-
-// AddObject introduces a new object on its owning shard; the matching
-// is repaired in place.
-func (w *ShardedWorkspace) AddObject(o Object) error {
-	return w.Apply([]Mutation{AddObjectOp(o)})
-}
-
-// RemoveObject withdraws an object; functions holding it re-chain,
-// possibly landing on other shards.
-func (w *ShardedWorkspace) RemoveObject(id uint64) error {
-	return w.Apply([]Mutation{RemoveObjectOp(id)})
-}
-
-// AddFunction introduces a new preference function; it claims its
-// stable share of the objects via cross-shard displacement chains.
-func (w *ShardedWorkspace) AddFunction(f Function) error {
-	return w.Apply([]Mutation{AddFunctionOp(f)})
-}
-
-// RemoveFunction withdraws a function; the object units it held are
-// re-offered shard by shard to the functions that want them most.
-func (w *ShardedWorkspace) RemoveFunction(id uint64) error {
-	return w.Apply([]Mutation{RemoveFunctionOp(id)})
-}
-
-// Assignment returns the current stable matching in the definitional
-// greedy order — byte-identical to the equivalent single Workspace's.
-func (w *ShardedWorkspace) Assignment() []Pair { return pairsFromInternal(w.e.Pairs()) }
-
-// Stats returns a point-in-time summary with per-shard breakdown.
-func (w *ShardedWorkspace) Stats() ShardedStats { return shardedStatsFromInternal(w.e.Stats()) }
-
-// Verify checks that the current matching is stable for the current
-// population, concatenated across shards.
-func (w *ShardedWorkspace) Verify() error { return w.e.VerifyStable() }
-
-// Close releases every shard's page store. The workspace must not be
-// used afterwards.
-func (w *ShardedWorkspace) Close() { w.e.Close() }
-
-// Snapshot returns a read-only view pinning every shard's latest
-// published epoch atomically under one global sequence number: the
-// composed observation is consistent even though each shard advances
-// its own epoch stream. Only shards dirtied since the last snapshot
-// are re-captured; clean shards are shared by refcount, so snapshot
-// cost scales with write locality, not population.
-func (w *ShardedWorkspace) Snapshot() (*ShardedView, error) {
-	v, err := w.e.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedView{v: v, opts: w.opts}, nil
-}
-
-// ShardedView is a snapshot-isolated read handle on a ShardedWorkspace,
-// with View's semantics: answers are immune to later mutations, safe
-// for concurrent use, valid after the workspace closes, and released
-// by Close.
-type ShardedView struct {
-	v    *shard.View
-	opts Options
-}
-
-// Seq returns the global commit sequence number this view observes
-// (one publish at construction plus one per Apply batch).
-func (v *ShardedView) Seq() uint64 { return v.v.Seq() }
-
-// Dims returns the problem dimensionality.
-func (v *ShardedView) Dims() int { return v.v.Dims() }
-
-// Close releases the view's per-shard epoch pins. Idempotent.
-func (v *ShardedView) Close() { v.v.Close() }
-
-// Assignment returns the frozen stable matching in the definitional
-// greedy order. The slice is freshly allocated and owned by the caller.
-func (v *ShardedView) Assignment() []Pair { return pairsFromInternal(v.v.Pairs()) }
-
-// Stats returns the workspace summary as of the view's sequence point.
-func (v *ShardedView) Stats() ShardedStats { return shardedStatsFromInternal(v.v.Stats()) }
-
-// Verify checks that the frozen matching is stable for the frozen
-// population — answered entirely from the snapshot.
-func (v *ShardedView) Verify() error { return v.v.VerifyStable() }
-
-// TopK returns the k objects the given preference function ranks
-// highest among the view's frozen object set, by lazily merging one
-// ranked stream per shard: a shard's stream only advances while its
-// score ceiling could still beat the best buffered candidate, so the
-// result — and its order — is identical to the single-index BRS scan,
-// while cold shards stop after one node read.
-func (v *ShardedView) TopK(f Function, k int) ([]Ranked, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	af, err := resolveFunction(f, v.opts, v.Dims())
-	if err != nil {
-		return nil, err
-	}
-	if len(af.Weights) != v.Dims() {
-		return nil, fmt.Errorf("fairassign: function has %d weights, view has %d dims", len(af.Weights), v.Dims())
-	}
-	items, scores, err := v.v.TopKScorer(af.Scorer(), k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Ranked, len(items))
-	for i, it := range items {
-		obj, ok := v.v.Object(it.ID)
-		if !ok {
-			return nil, fmt.Errorf("fairassign: view index returned unknown object %d", it.ID)
-		}
-		attrs := make([]float64, len(obj.Point))
-		copy(attrs, obj.Point)
-		out[i] = Ranked{
-			Object: Object{ID: obj.ID, Attributes: attrs, Capacity: obj.Capacity},
-			Score:  scores[i],
-		}
-	}
-	return out, nil
-}
+// ShardedWorkspace, ShardedView, and ShardedStats name the sharded face
+// of the one workspace type.
+type (
+	ShardedWorkspace = Workspace
+	ShardedView      = View
+	ShardedStats     = WorkspaceStats
+)
 
 // ShardedQueue is the shard-routing group-commit front end for a
-// ShardedWorkspace: one MutationQueue per shard for object operations
+// sharded Workspace: one MutationQueue per shard for object operations
 // (routed to the owning shard) plus one for function operations. Each
 // pump's batches are shard-coherent, so a drained batch dirties one
 // shard and its commit flushes and republishes 1/N of the page state —

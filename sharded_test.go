@@ -165,3 +165,61 @@ func TestShardedWorkspaceRejectsDurability(t *testing.T) {
 		t.Fatalf("WALDir: err = %v, want ErrDurabilityUnsupported", err)
 	}
 }
+
+// TestDurableOneShard builds a durable one-shard workspace through each
+// constructor, crashes it (abandons it without Close after acknowledged
+// batches), and recovers it with OpenWorkspace: the recovered workspace
+// replays every acknowledged batch and serves the acknowledged
+// matching. A durable build over two shards is rejected.
+func TestDurableOneShard(t *testing.T) {
+	objects := GenerateObjects(Independent, 80, 2, 41)
+	functions := GenerateFunctions(10, 2, 42)
+	builds := map[string]func(Options) (*Workspace, error){
+		"NewWorkspace": func(o Options) (*Workspace, error) { return NewWorkspace(objects, functions, o) },
+		"NewShardedWorkspace": func(o Options) (*Workspace, error) {
+			return NewShardedWorkspace(objects, functions, ShardedOptions{Options: o, Shards: 1})
+		},
+	}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			opts := durableOpts(t)
+			crashed, err := build(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer crashed.Close()
+			batches := [][]Mutation{
+				{AddObjectOp(Object{ID: 9001, Attributes: []float64{0.95, 0.9}})},
+				{RemoveFunctionOp(functions[2].ID), AddObjectOp(Object{ID: 9002, Attributes: []float64{0.1, 0.97}})},
+				{RemoveObjectOp(objects[5].ID)},
+			}
+			for i, b := range batches {
+				if err := crashed.Apply(b); err != nil {
+					t.Fatalf("batch %d: %v", i, err)
+				}
+			}
+			want := crashed.Assignment()
+
+			rec, err := OpenWorkspace(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			if got := rec.Recovery().BatchesReplayed; got != len(batches) {
+				t.Fatalf("replayed %d batches, want %d", got, len(batches))
+			}
+			if rec.Shards() != 1 {
+				t.Fatalf("recovered %d shards, want 1", rec.Shards())
+			}
+			sameAssignment(t, "recovered vs acknowledged", rec.Assignment(), want)
+			if err := rec.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	opts := ShardedOptions{Options: durableOpts(t), Shards: 2}
+	if _, err := NewShardedWorkspace(objects, functions, opts); !errors.Is(err, ErrDurabilityUnsupported) {
+		t.Fatalf("two durable shards: err = %v, want ErrDurabilityUnsupported", err)
+	}
+}

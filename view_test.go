@@ -3,6 +3,7 @@ package fairassign
 import (
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,7 +67,7 @@ func TestPublicViewSnapshotIsolation(t *testing.T) {
 	}
 
 	samePublicPairs(t, "pinned view after mutations", view.Assignment(), before)
-	if view.Stats() != beforeStats {
+	if !reflect.DeepEqual(view.Stats(), beforeStats) {
 		t.Fatalf("pinned view stats drifted")
 	}
 	afterTop, err := view.TopK(pref, 8)

@@ -38,7 +38,18 @@ import (
 // against whatever open views still observe), and a view keeps
 // answering from its epoch until it is Closed, at which point the page
 // versions and cached nodes only that epoch kept alive are reclaimed.
-// For write-throughput scaling, shard by tenant — one workspace each.
+//
+// Shards. NewShardedWorkspace splits the object space across N shards —
+// each with its own R-tree, availability frontier, page store, and
+// epoch stream — behind the same repair engine; NewWorkspace is the
+// one-shard case. The matching is byte-identical at every mutation
+// boundary for every shard count (the conformance suite asserts counts
+// {1,2,4,7}); what changes is the serving economics: a mutation dirties
+// only the shard owning its object, so the commit republishes and the
+// next Snapshot re-captures 1/N of the object state (clean shards are
+// reused by refcount); repair probes every shard, fanned out across
+// SearchWorkers; TopK lazily merges per-shard ranked streams by score
+// ceiling. Durability (Options.WALDir) is supported at one shard.
 type Workspace struct {
 	ws   *assign.Workspace
 	opts Options
@@ -62,14 +73,19 @@ var (
 )
 
 // WorkspaceStats summarizes a workspace and the repair work it has
-// performed since construction.
+// performed since construction. Objects, Functions, and AssignedUnits
+// do not depend on the shard count; AvailableFrontier and the work
+// counters do — per-shard frontiers can union to more points than one
+// global skyline, and every repair proposal probes all shards.
 type WorkspaceStats struct {
+	// Shards is the shard count.
+	Shards int
 	// Population and matching size.
 	Objects       int
 	Functions     int
 	AssignedUnits int
 	// AvailableFrontier is the current size of the maintained skyline
-	// over objects with spare capacity.
+	// over objects with spare capacity, summed over shards.
 	AvailableFrontier int
 	// Mutations counts applied mutations; Commits counts the epoch
 	// publishes that carried them (group commits via Apply batch
@@ -77,21 +93,48 @@ type WorkspaceStats struct {
 	// reassignments repair performed; Searches counts the bounded top-1
 	// probes those chains issued. Resolves counts from-scratch solves
 	// (always 1: the initial build).
-	Mutations  int64
-	Commits    int64
+	Mutations int64
+	Commits   int64
+	// Seq is the global commit sequence number Snapshot pins (the
+	// View's Epoch).
+	Seq        uint64
 	ChainSteps int64
 	Searches   int64
 	Resolves   int64
 	// IOAccesses is the paper's I/O metric accumulated over the
-	// workspace lifetime (both indexes).
+	// workspace lifetime (every index).
 	IOAccesses int64
+	// PerShard breaks the population down by shard.
+	PerShard []ShardBreakdown
+}
+
+// ShardBreakdown is one shard's slice of WorkspaceStats.
+type ShardBreakdown struct {
+	// Objects and AssignedUnits this shard owns, and the size of its
+	// availability frontier.
+	Objects       int
+	AssignedUnits int
+	Frontier      int
+	// Epoch is the shard's own page-store epoch; clean shards keep
+	// their epoch while dirty ones advance, which is the amortization
+	// sharding exists for.
+	Epoch uint64
 }
 
 // NewWorkspace validates the inputs, builds the shared solver state,
-// and computes the initial matching. Options are honored exactly as in
-// NewSolver; the Algorithm field is ignored (the initial solve is SB,
-// mutations use chain repair).
+// and computes the initial matching: a one-shard workspace. Options are
+// honored exactly as in NewSolver; the Algorithm field is ignored (the
+// initial solve is SB, mutations use chain repair).
 func NewWorkspace(objects []Object, functions []Function, opts Options) (*Workspace, error) {
+	return NewShardedWorkspace(objects, functions, ShardedOptions{Options: opts})
+}
+
+// NewShardedWorkspace is NewWorkspace with the object space partitioned
+// across sopts.Shards shards, each bulk-loading its own index after the
+// one initial SB solve. Durable options are rejected with
+// ErrDurabilityUnsupported when Shards > 1.
+func NewShardedWorkspace(objects []Object, functions []Function, sopts ShardedOptions) (*Workspace, error) {
+	opts := sopts.Options
 	if len(objects) == 0 && len(functions) == 0 {
 		return nil, fmt.Errorf("fairassign: nothing to assign")
 	}
@@ -114,7 +157,11 @@ func NewWorkspace(objects []Object, functions []Function, opts Options) (*Worksp
 		}
 		p.Functions = append(p.Functions, af)
 	}
-	ws, err := assign.NewWorkspace(p, opts.assignConfig())
+	ws, err := assign.NewShardedWorkspace(p, opts.assignConfig(), assign.ShardOptions{
+		Shards:        sopts.Shards,
+		Partition:     sopts.Partition.internal(),
+		SearchWorkers: sopts.SearchWorkers,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -173,6 +220,34 @@ func normalizeWeights(w []float64, fid uint64, opts Options) ([]float64, error) 
 // Dims returns the workspace dimensionality.
 func (w *Workspace) Dims() int { return w.ws.Dims() }
 
+// Shards returns the shard count.
+func (w *Workspace) Shards() int { return w.ws.ShardCount() }
+
+// Partition returns the resolved partition strategy ("spatial" or
+// "hash" — Auto resolves at construction).
+func (w *Workspace) Partition() string { return w.ws.Partition().String() }
+
+// ShardOfObject returns the shard owning a live object.
+func (w *Workspace) ShardOfObject(id uint64) (int, bool) { return w.ws.ShardOfObject(id) }
+
+// RouteMutation returns the shard a mutation's work lands on: the
+// owning (or would-be owning) shard for object operations, and -1 for
+// function operations, whose structures are global. ShardedQueue uses
+// this to coalesce per-shard batches.
+func (w *Workspace) RouteMutation(m Mutation) int {
+	switch m.kind {
+	case assign.MutAddObject:
+		return w.ws.RouteObject(geom.Point(m.obj.Attributes), m.obj.ID)
+	case assign.MutRemoveObject:
+		if s, ok := w.ws.ShardOfObject(m.id); ok {
+			return s
+		}
+		return 0 // unknown ID: validation rejects it wherever it lands
+	default:
+		return -1
+	}
+}
+
 // AddObject introduces a new object; the matching is repaired in place.
 func (w *Workspace) AddObject(o Object) error {
 	return w.ws.AddObject(assign.Object{
@@ -214,18 +289,25 @@ func pairsFromInternal(pairs []assign.Pair) []Pair {
 
 // statsFromInternal maps the internal summary to the public one.
 func statsFromInternal(s assign.WorkspaceStats) WorkspaceStats {
-	return WorkspaceStats{
+	out := WorkspaceStats{
+		Shards:            s.Shards,
 		Objects:           s.Objects,
 		Functions:         s.Functions,
 		AssignedUnits:     s.AssignedUnits,
 		AvailableFrontier: s.SkylineSize,
 		Mutations:         s.Mutations,
 		Commits:           s.Commits,
+		Seq:               s.Seq,
 		ChainSteps:        s.ChainSteps,
 		Searches:          s.Searches,
 		Resolves:          s.Resolves,
 		IOAccesses:        s.IO.Accesses(),
+		PerShard:          make([]ShardBreakdown, len(s.PerShard)),
 	}
+	for i, ps := range s.PerShard {
+		out.PerShard[i] = ShardBreakdown(ps)
+	}
+	return out
 }
 
 // Assignment returns the current stable matching in the definitional
@@ -241,15 +323,17 @@ func (w *Workspace) Verify() error {
 	return w.ws.VerifyStable()
 }
 
-// Close releases the page stores behind the workspace indexes. The
+// Close releases every page store behind the workspace indexes. The
 // workspace must not be used afterwards.
 func (w *Workspace) Close() { w.ws.Close() }
 
 // Snapshot returns a read-only View pinned to the workspace's latest
-// published epoch. The view's answers are immune to later mutations: a
-// snapshot taken before a batch of Add/Remove calls returns the same
-// Assignment, Stats, and TopK results after the batch lands, while a
-// fresh Snapshot reflects it. Any number of views may be open
+// published epoch — every shard's latest page epoch, pinned atomically
+// under one sequence number. The view's answers are immune to later
+// mutations: a snapshot taken before a batch of Add/Remove calls
+// returns the same Assignment, Stats, and TopK results after the batch
+// lands, while a fresh Snapshot reflects it. Only shards dirtied since
+// the last snapshot are re-captured. Any number of views may be open
 // concurrently, across goroutines, at the same or different epochs;
 // each must be Closed to release the page versions its epoch retains.
 func (w *Workspace) Snapshot() (*View, error) {
@@ -272,8 +356,9 @@ type View struct {
 	opts Options
 }
 
-// Epoch returns the published workspace epoch this view observes. One
-// epoch is published at construction and one per mutation, so the
+// Epoch returns the published workspace epoch this view observes — the
+// global commit sequence number, the same at every shard count. One
+// epoch is published at construction and one per Apply batch, so the
 // epoch also identifies which prefix of the mutation history the view
 // reflects.
 func (v *View) Epoch() uint64 { return v.v.Epoch() }
@@ -307,9 +392,13 @@ func (v *View) Verify() error { return v.v.VerifyStable() }
 // TopK returns the k objects the given preference function ranks
 // highest among the view's frozen object set — the paper's single-user
 // query (Section 2.3), evaluated with BRS over the pinned index epoch
-// under the function's scorer family. Weights are normalized per the
-// workspace Options and scaled by the function's Gamma, exactly as an
-// assignment would score them.
+// under the function's scorer family. With several shards it lazily
+// merges one ranked stream per shard: a shard's stream only advances
+// while its score ceiling could still beat the best buffered
+// candidate, so the result and its order are those of one BRS scan
+// over the union. Weights are normalized per the workspace Options and
+// scaled by the function's Gamma, exactly as an assignment would score
+// them.
 func (v *View) TopK(f Function, k int) ([]Ranked, error) {
 	if k <= 0 {
 		return nil, nil
